@@ -24,7 +24,6 @@
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/prof.hpp"
 #include "gridsec/obs/report.hpp"
-#include "gridsec/obs/serve.hpp"
 #include "gridsec/obs/telemetry.hpp"
 #include "gridsec/util/table.hpp"
 #include "gridsec/util/thread_pool.hpp"
@@ -48,10 +47,6 @@ struct BenchArgs {
   // Harness::run_case (reps 0 / warmup -1 mean "use the case default").
   int reps = 0;
   int warmup = -1;
-  // --metrics-port=N: serve GET /metrics (OpenMetrics) + /healthz +
-  // /progress on 127.0.0.1:N for the duration of the bench (0 = ephemeral
-  // port, printed to stderr; -1 = off). Unavailable under GRIDSEC_NO_SERVE.
-  int metrics_port = -1;
   // --timeseries=FILE: run the telemetry sampler for the whole bench and
   // write the gridsec.timeseries artifact to FILE (.csv suffix = CSV).
   std::string timeseries_file;
@@ -63,7 +58,7 @@ struct BenchArgs {
   std::fprintf(stderr,
                "usage: %s [--trials=N] [--seed=S] [--threads=T] [--reps=N] "
                "[--warmup=N] [--csv] [--json[=FILE]] [--profile[=FILE]] "
-               "[--metrics-port=N] [--timeseries=FILE] [--progress]\n",
+               "[--timeseries=FILE] [--progress]\n",
                prog);
   std::exit(code);
 }
@@ -127,9 +122,6 @@ inline BenchArgs parse_args(int argc, char** argv) {
       if (args.profile_file.empty()) malformed();
     } else if (a == "--profile") {
       args.profile_file = default_sidecar_name(argv[0], "PROF");
-    } else if (const char* s = value("--metrics-port=")) {
-      if (!parse_long(s, &v) || v < 0 || v > 65535) malformed();
-      args.metrics_port = static_cast<int>(v);
     } else if (const char* s = value("--timeseries=")) {
       args.timeseries_file = s;
       if (args.timeseries_file.empty()) malformed();
@@ -172,18 +164,6 @@ class Harness {
     report_.manifest.trials = args.trials;
     if (args.threads != 0) report_.manifest.threads = args.threads;
     if (!args_.profile_file.empty()) obs::Profiler::start();
-    if (args_.metrics_port >= 0) {
-      obs::TelemetryServerOptions sopts;
-      sopts.port = args_.metrics_port;
-      const Status st = server_.start(sopts);
-      if (!st.is_ok()) {
-        std::fprintf(stderr, "cannot start telemetry endpoint: %s\n",
-                     st.to_string().c_str());
-        std::exit(1);
-      }
-      std::fprintf(stderr, "metrics: http://127.0.0.1:%d/metrics\n",
-                   server_.port());
-    }
     if (!args_.timeseries_file.empty() || args_.progress) {
       obs::TelemetrySamplerOptions topts;
       topts.progress_to_stderr = args_.progress;
@@ -240,7 +220,6 @@ class Harness {
   void emit_report() {
     emit_profile();
     emit_timeseries();
-    server_.stop();
     if (args_.json_file.empty()) return;
     report_.manifest.wall_time_seconds = elapsed_seconds(start_);
     std::ofstream out(args_.json_file);
@@ -313,7 +292,6 @@ class Harness {
   BenchArgs args_;
   obs::RunReport report_;
   std::chrono::steady_clock::time_point start_;
-  obs::TelemetryServer server_;
   obs::TelemetrySampler sampler_;
 };
 

@@ -21,10 +21,6 @@
 //                  stacks to FILE.folded (render with gridsec-inspect
 //                  profile FILE; see docs/observability.md)
 //   --metrics      dump the metrics registry as JSON to stdout after the run
-//   --metrics-port=N  serve GET /metrics (OpenMetrics), /healthz and
-//                  /progress on 127.0.0.1:N for the duration of the run
-//                  (N=0 picks an ephemeral port, logged to stderr;
-//                  unavailable in GRIDSEC_NO_SERVE builds)
 //   --progress     mirror live progress/ETA heartbeats to stderr
 //   --timeseries=FILE  run the telemetry sampler (100 ms cadence) and
 //                  write the gridsec.timeseries artifact to FILE at exit
@@ -67,7 +63,6 @@
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/prof.hpp"
 #include "gridsec/obs/report.hpp"
-#include "gridsec/obs/serve.hpp"
 #include "gridsec/obs/telemetry.hpp"
 #include "gridsec/robust/recovery.hpp"
 #include "gridsec/obs/trace.hpp"
@@ -93,7 +88,6 @@ struct CliArgs {
   bool metrics = false;
   double time_limit_ms = 0.0;  // 0 = unlimited
   bool fail_fast = false;
-  int metrics_port = -1;         // -1 = endpoint off; 0 = ephemeral port
   bool progress = false;
   std::string timeseries_file;   // empty = sampler off
 };
@@ -113,7 +107,7 @@ int usage() {
                "[--actors=N] [--seed=S] [--targets=K] [--collab] "
                "[--cost=C] [--budget=B] [--trace=FILE] [--profile=FILE] "
                "[--report=FILE] "
-               "[--audit=FILE] [--metrics] [--metrics-port=N] "
+               "[--audit=FILE] [--metrics] "
                "[--progress] [--timeseries=FILE] [--time-limit-ms=N] "
                "[--fail-fast] [--warm-start=on|off] "
                "[--recovery=ladder|off]\n");
@@ -439,9 +433,6 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--audit=")) {
       args.audit_file = v;
       ok = !args.audit_file.empty();
-    } else if (const char* v = value("--metrics-port=")) {
-      ok = parse_int(v, &args.metrics_port) && args.metrics_port >= 0 &&
-           args.metrics_port <= 65535;
     } else if (const char* v = value("--timeseries=")) {
       args.timeseries_file = v;
       ok = !args.timeseries_file.empty();
@@ -497,22 +488,8 @@ int main(int argc, char** argv) {
   const auto run_start = std::chrono::steady_clock::now();
   if (!args.profile_file.empty()) gridsec::obs::Profiler::start();
 
-  // Live telemetry plane: the endpoint and the sampler both enable the
-  // progress tracker, so --metrics-port, --timeseries and --progress each
-  // light up progress/ETA accounting in the solver loops.
-  gridsec::obs::TelemetryServer server;
-  if (args.metrics_port >= 0) {
-    gridsec::obs::TelemetryServerOptions server_opts;
-    server_opts.port = args.metrics_port;
-    const auto started = server.start(server_opts);
-    if (!started.is_ok()) {
-      std::fprintf(stderr, "cannot start telemetry endpoint: %s\n",
-                   started.to_string().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "metrics: http://127.0.0.1:%d/metrics\n",
-                 server.port());
-  }
+  // The sampler enables the progress tracker, so --timeseries and
+  // --progress both light up progress/ETA accounting in the solver loops.
   gridsec::obs::TelemetrySampler sampler;
   if (!args.timeseries_file.empty() || args.progress) {
     gridsec::obs::TelemetrySamplerOptions sampler_opts;
@@ -553,7 +530,6 @@ int main(int argc, char** argv) {
                    ts.samples.size(), f.c_str());
     }
   }
-  server.stop();
   if (!args.profile_file.empty()) {
     gridsec::obs::Profiler::stop();
     const gridsec::obs::Profile profile = gridsec::obs::Profiler::snapshot();

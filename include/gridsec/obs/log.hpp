@@ -7,8 +7,7 @@
 // Design goals, in order:
 //   1. Near-zero cost when silent. A suppressed record is one relaxed
 //      atomic load plus a branch (the level gate runs before any argument
-//      is evaluated); `-DGRIDSEC_NO_LOGGING=ON` compiles every call site
-//      out entirely.
+//      is evaluated).
 //   2. Lock-light. The record line is formatted entirely on the calling
 //      thread; the logger mutex is held only to move the finished string
 //      into the ring buffer and hand it to the sinks.
@@ -54,8 +53,6 @@ enum class LogLevel {
 std::string_view to_string(LogLevel level);
 /// Parses a (case-insensitive) level name; false on unknown input.
 bool parse_log_level(std::string_view text, LogLevel* out);
-
-#ifndef GRIDSEC_NO_LOGGING
 
 /// Process-global logger state. All static; the singleton lives in log.cpp
 /// and is intentionally leaked so worker threads may log during teardown.
@@ -137,39 +134,5 @@ class LogEvent {
   if (!::gridsec::obs::Logger::enabled(::gridsec::obs::LogLevel::lvl)) {   \
   } else                                                                   \
     ::gridsec::obs::LogEvent(::gridsec::obs::LogLevel::lvl, (component))
-
-#else  // GRIDSEC_NO_LOGGING: every call site compiles to nothing.
-
-class Logger {
- public:
-  static constexpr std::size_t kDefaultRingCapacity = 0;
-  [[nodiscard]] static bool enabled(LogLevel) { return false; }
-  static void set_level(LogLevel) {}
-  [[nodiscard]] static LogLevel level() { return LogLevel::kOff; }
-  static void set_stderr_sink(bool) {}
-  static bool open_file_sink(const std::string&) { return true; }
-  static void close_file_sink() {}
-  [[nodiscard]] static std::vector<std::string> tail(std::size_t = 0) {
-    return {};
-  }
-  [[nodiscard]] static std::uint64_t records_emitted() { return 0; }
-  static void reset_ring() {}
-  static void emit(LogLevel, std::string) {}
-};
-
-class LogEvent {
- public:
-  LogEvent(LogLevel, std::string_view) {}
-  template <typename K, typename V>
-  LogEvent& field(K&&, V&&) { return *this; }
-  LogEvent& message(std::string_view) { return *this; }
-};
-
-#define GRIDSEC_LOG(lvl, component) \
-  if (true) {                       \
-  } else                            \
-    ::gridsec::obs::LogEvent(::gridsec::obs::LogLevel::lvl, (component))
-
-#endif  // GRIDSEC_NO_LOGGING
 
 }  // namespace gridsec::obs

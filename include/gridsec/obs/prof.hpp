@@ -1,12 +1,12 @@
 // gridsec::obs::prof — in-process self-profiling: phase-attributed wall and
 // thread-CPU time, heap-allocation accounting, and flamegraph export.
 //
-// The profiler rides the existing TraceSpan hierarchy: every
-// GRIDSEC_TRACE_SPAN site doubles as a profiling phase marker. While the
-// profiler is enabled, each span open/close maintains a per-thread frame
-// stack and accumulates into a call tree keyed by span-name path, so the
-// same instrumentation that feeds Chrome traces also answers "which phase
-// of compute_impact_matrix burns the cycles".
+// The profile is the second export of the span recorder (obs/trace.hpp):
+// every GRIDSEC_TRACE_SPAN site doubles as a profiling phase marker. While
+// the profiler is enabled, each span open/close maintains a per-thread
+// frame stack and accumulates into a call tree keyed by span-name path, so
+// the same instrumentation that feeds Chrome traces also answers "which
+// phase of compute_impact_matrix burns the cycles".
 //
 // What gets recorded per call-tree node:
 //   * count         — times the phase was entered (completed frames);
@@ -16,23 +16,19 @@
 //   * alloc_count / alloc_bytes — heap traffic attributed EXCLUSIVELY to
 //     the phase that was topmost when the allocation happened.
 //
-// Allocation accounting replaces the global operator new/delete (prof.cpp)
-// and is always on in a default build: per-thread counters feed phase
+// Allocation accounting replaces the global operator new/delete
+// (recorder.cpp) and is always on: per-thread counters feed phase
 // attribution, process-wide relaxed atomics feed the obs.alloc.count /
 // obs.alloc.bytes / obs.alloc.peak_bytes registry counters published by
 // sync_alloc_counters(). `count` and `bytes` track *requested* sizes and
 // are deterministic for a given binary; `live`/`peak` use
-// malloc_usable_size and depend on the allocator. Everything in this
-// header compiles to no-ops under GRIDSEC_NO_PROFILING (the parse/format
-// helpers for gridsec.profile artifacts stay available so tools keep
-// working against profiles produced elsewhere).
+// malloc_usable_size and depend on the allocator. The parse/format helpers
+// (prof.cpp) serve tools that read profiles produced elsewhere.
 //
 // Cost model:
-//   * GRIDSEC_NO_PROFILING: zero — the operator new replacement is not
-//     even linked;
-//   * profiler disabled (default at runtime): one extra relaxed atomic
-//     load per TraceSpan, plus the allocation hooks (a handful of relaxed
-//     increments per new/delete — measured < 3% wall on micro_solvers);
+//   * profiler disabled (the default): nothing per span beyond the capture
+//     word load every TraceSpan makes, plus the allocation hooks (a few
+//     plain thread-local increments per new/delete);
 //   * profiler enabled: two clock reads and one uncontended per-thread
 //     mutex lock per span open and close.
 //
@@ -116,11 +112,9 @@ struct ProfileRow {
 [[nodiscard]] std::int64_t profile_weight_value(const ProfileNode& node,
                                                 ProfileWeight weight);
 
-#ifndef GRIDSEC_NO_PROFILING
-
-/// Global capture control. All static; the singleton state lives in
-/// prof.cpp and is intentionally leaked (worker threads may record frames
-/// during static teardown).
+/// Call-tree capture control. All static; the recorder state lives in
+/// recorder.cpp and is intentionally leaked (worker threads may record
+/// frames during static teardown).
 class Profiler {
  public:
   /// Enables frame capture. Spans already open stay unprofiled (the
@@ -155,35 +149,10 @@ class Profiler {
 void sync_alloc_counters();
 
 namespace prof_detail {
-/// TraceSpan integration points — not for direct use.
-void frame_push(const char* name);
-void frame_pop();
 /// Folds the calling thread's pending allocation counts into the process
 /// totals. The thread pool calls this after every task so worker traffic
 /// is visible to alloc_totals() without per-allocation atomics.
 void flush_thread_allocs() noexcept;
 }  // namespace prof_detail
-
-#else  // GRIDSEC_NO_PROFILING: capture machinery compiles away.
-
-class Profiler {
- public:
-  static void start() {}
-  static void stop() {}
-  [[nodiscard]] static bool enabled() { return false; }
-  static void reset() {}
-  [[nodiscard]] static Profile snapshot() { return Profile{}; }
-};
-
-[[nodiscard]] inline AllocTotals alloc_totals() { return AllocTotals{}; }
-inline void sync_alloc_counters() {}
-
-namespace prof_detail {
-inline void frame_push(const char*) {}
-inline void frame_pop() {}
-inline void flush_thread_allocs() noexcept {}
-}  // namespace prof_detail
-
-#endif  // GRIDSEC_NO_PROFILING
 
 }  // namespace gridsec::obs

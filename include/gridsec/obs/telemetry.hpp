@@ -1,14 +1,12 @@
-// gridsec::obs — live telemetry plane: progress/ETA tracking with a stall
-// watchdog, a background time-series sampler over the metric registry, and
-// an OpenMetrics text exposition for the embedded /metrics endpoint
-// (serve.hpp).
+// gridsec::obs — run-health telemetry: progress/ETA tracking with a stall
+// watchdog and a background time-series sampler over the metric registry.
 //
 // Everything here is strictly opt-in and zero-cost when dormant:
 //   * Progress sites (Monte-Carlo trials, impact-matrix target loops, B&B
 //     node exploration, game rounds, experiment sweeps) check one relaxed
 //     atomic and construct nothing while ProgressTracker is disabled — the
-//     default. The sampler, the HTTP endpoint, and the CLI's --progress
-//     flag enable it.
+//     default. The sampler (the CLI's --timeseries and --progress flags)
+//     enables it.
 //   * TelemetrySampler is a single background thread that only exists
 //     while explicitly started; stopping takes one final sample so the
 //     last ring entry equals the registry's exit snapshot.
@@ -16,8 +14,8 @@
 // The sampler's ring exports as a versioned "gridsec.timeseries" artifact
 // (schema_version 1) with the same JSON round-trip contract as report.hpp:
 // write_timeseries_json + parse_timeseries are exact inverses for the
-// fields the schema carries. `gridsec-inspect top` renders the artifact —
-// or a live /metrics poll — as a refreshing terminal table.
+// fields the schema carries. `gridsec-inspect top` renders the artifact
+// as a terminal table.
 #pragma once
 
 #include <cstdint>
@@ -102,8 +100,7 @@ class Progress {
 // Build provenance.
 
 /// The provenance triple baked into report.cpp at configure time, re-used
-/// here so /metrics and timeseries artifacts carry it as an
-/// obs.build_info labeled gauge without a side-channel file.
+/// here so timeseries artifacts carry it without a side-channel file.
 struct BuildInfo {
   std::string git_sha;
   std::string build_type;
@@ -206,26 +203,5 @@ class TelemetrySampler {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-// ---------------------------------------------------------------------------
-// OpenMetrics exposition.
-
-/// Maps a dotted registry name onto the OpenMetrics charset: "gridsec_"
-/// prefix, dots and any character outside [a-zA-Z0-9_:] become '_'.
-[[nodiscard]] std::string openmetrics_name(const std::string& dotted);
-/// Escapes a label value per the OpenMetrics ABNF: backslash, double
-/// quote, and newline are escaped; everything else passes through.
-[[nodiscard]] std::string openmetrics_escape_label(const std::string& raw);
-
-/// Renders `registry` as an OpenMetrics text exposition: counters as
-/// `<name>_total`, gauges verbatim, histograms/timers as quantile-labeled
-/// gauges (p50/p90/p99) plus an `_observations` counter and `_sum` gauge;
-/// timers are exported in seconds with a `_seconds` unit suffix. Includes
-/// the gridsec_build_info gauge and ends with "# EOF".
-void write_openmetrics(std::ostream& os, const MetricRegistry& registry);
-
-/// The Content-Type a conforming scraper expects for the above.
-inline constexpr const char* kOpenMetricsContentType =
-    "application/openmetrics-text; version=1.0.0; charset=utf-8";
 
 }  // namespace gridsec::obs

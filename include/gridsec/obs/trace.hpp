@@ -1,14 +1,20 @@
-// Scoped tracing: RAII spans recorded into thread-local buffers and
-// exported in Chrome trace-event JSON ("complete" events, ph:"X"), so a
-// whole `defend` run can be opened in Perfetto or chrome://tracing.
+// Scoped spans and the one recorder behind them.
+//
+// Every GRIDSEC_TRACE_SPAN site feeds a single per-thread span recorder
+// (recorder.cpp) with two captures, each switched on independently:
+//   * Tracer   — completed spans as Chrome trace-event JSON ("complete"
+//                events, ph:"X"), so a whole `defend` run can be opened in
+//                Perfetto or chrome://tracing;
+//   * Profiler — a call tree of wall/thread-CPU/allocation totals keyed by
+//                span-name path (obs/prof.hpp), exported as the
+//                gridsec.profile artifact and folded flamegraph stacks.
 //
 // Cost model:
-//   * tracing disabled (the default): a span construction is one relaxed
-//     atomic load and a branch — below the noise floor of any solve;
-//   * GRIDSEC_NO_TRACING defined: spans compile to nothing at all;
-//   * tracing enabled: one steady_clock read at open, one read plus a
-//     push onto a thread-local vector (per-buffer mutex, uncontended —
-//     only the exporter ever takes it from another thread) at close.
+//   * both captures off (the default): a span open is one relaxed atomic
+//     load of the capture word and a branch — no clock read, no TLS lookup;
+//   * either capture on: one steady_clock read per open and per close plus
+//     one uncontended per-thread mutex lock at close (and at open when
+//     profiling, which also reads the thread-CPU clock).
 //
 // Usage:
 //   obs::Tracer::start();
@@ -16,20 +22,28 @@
 //   obs::Tracer::stop();
 //   obs::Tracer::write_chrome_json(file);
 //
-// Buffers survive thread exit (shared ownership), so spans recorded on
-// ThreadPool workers are exported even after the pool is destroyed.
+// Per-thread state survives thread exit (shared ownership), so spans
+// recorded on ThreadPool workers are exported even after the pool is
+// destroyed.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 
 namespace gridsec::obs {
 
-#ifndef GRIDSEC_NO_TRACING
+namespace span_detail {
+/// Capture word bits; TraceSpan loads the word once per open.
+inline constexpr unsigned kTrace = 1;
+inline constexpr unsigned kProfile = 2;
+extern std::atomic<unsigned> g_capture;
+struct ThreadState;  // recorder.cpp internals
+}  // namespace span_detail
 
-/// Global capture control + export. All static; the singleton state lives
-/// in trace.cpp and is intentionally leaked.
+/// Chrome-trace capture control + export. All static; the recorder state
+/// lives in recorder.cpp and is intentionally leaked.
 class Tracer {
  public:
   /// Enables span capture. Spans already open stay un-recorded (capture
@@ -47,24 +61,29 @@ class Tracer {
   static void write_chrome_json(std::ostream& os);
 };
 
-/// RAII span: records [open, close) as one complete event when tracing was
-/// enabled at open. `name` must outlive the span (string literals do).
-///
-/// Spans are also the profiler's phase markers: when obs::Profiler is
-/// enabled (see obs/prof.hpp), every span open/close additionally pushes/
-/// pops a frame on the profiler's per-thread call stack. The two captures
-/// are independent — either can be on without the other.
+/// RAII span: records [open, close) into whichever captures were on at
+/// open. `name` must outlive the span (string literals do).
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name);
-  ~TraceSpan();
+  explicit TraceSpan(const char* name) {
+    const unsigned capture =
+        span_detail::g_capture.load(std::memory_order_relaxed);
+    if (capture != 0) open(name, capture);
+  }
+  ~TraceSpan() {
+    if (capture_ != 0) close();
+  }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  const char* name_;      // nullptr = inactive (tracing was off at open)
-  std::uint64_t open_ns_;
-  bool prof_ = false;     // profiler was enabled at open
+  void open(const char* name, unsigned capture);
+  void close();
+
+  unsigned capture_ = 0;  // captures on at open; 0 = inactive
+  const char* name_ = nullptr;
+  std::uint64_t open_ns_ = 0;
+  span_detail::ThreadState* state_ = nullptr;
 };
 
 #define GRIDSEC_OBS_CONCAT_INNER(a, b) a##b
@@ -72,28 +91,5 @@ class TraceSpan {
 #define GRIDSEC_TRACE_SPAN(name)  \
   ::gridsec::obs::TraceSpan GRIDSEC_OBS_CONCAT(gridsec_trace_span_, \
                                                __LINE__)(name)
-
-#else  // GRIDSEC_NO_TRACING: everything compiles away.
-
-class Tracer {
- public:
-  static void start() {}
-  static void stop() {}
-  [[nodiscard]] static bool enabled() { return false; }
-  static void reset() {}
-  [[nodiscard]] static std::size_t event_count() { return 0; }
-  static void write_chrome_json(std::ostream& os);  // writes "[]"
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) {}
-};
-
-#define GRIDSEC_TRACE_SPAN(name) \
-  do {                           \
-  } while (false)
-
-#endif  // GRIDSEC_NO_TRACING
 
 }  // namespace gridsec::obs

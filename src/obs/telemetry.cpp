@@ -615,111 +615,4 @@ std::uint64_t TelemetrySampler::dropped() const {
   return impl_->dropped;
 }
 
-// ---------------------------------------------------------------------------
-// OpenMetrics exposition.
-
-std::string openmetrics_name(const std::string& dotted) {
-  std::string out = "gridsec_";
-  out.reserve(out.size() + dotted.size());
-  for (const char c : dotted) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
-std::string openmetrics_escape_label(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
-namespace {
-
-void write_om_value(std::ostream& os, double v) {
-  if (std::isnan(v)) {
-    os << "NaN";
-  } else if (std::isinf(v)) {
-    os << (v > 0 ? "+Inf" : "-Inf");
-  } else {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
-  }
-}
-
-void write_family_header(std::ostream& os, const std::string& name,
-                         const char* type, const std::string& help) {
-  os << "# HELP " << name << ' ' << help << '\n';
-  os << "# TYPE " << name << ' ' << type << '\n';
-}
-
-void write_quantile_family(std::ostream& os, const std::string& base,
-                           const std::string& source, const char* what,
-                           const DistSnapshot& d) {
-  write_family_header(os, base, "gauge",
-                      std::string(what) + " quantiles of " + source + ".");
-  os << base << "{quantile=\"0.5\"} ";
-  write_om_value(os, d.p50);
-  os << '\n' << base << "{quantile=\"0.9\"} ";
-  write_om_value(os, d.p90);
-  os << '\n' << base << "{quantile=\"0.99\"} ";
-  write_om_value(os, d.p99);
-  os << '\n';
-  write_family_header(os, base + "_sum", "gauge",
-                      std::string("Sum of observations of ") + source + ".");
-  os << base << "_sum ";
-  write_om_value(os, d.sum);
-  os << '\n';
-  write_family_header(os, base + "_observations", "counter",
-                      std::string("Observations recorded by ") + source + ".");
-  os << base << "_observations_total " << d.count << '\n';
-}
-
-}  // namespace
-
-void write_openmetrics(std::ostream& os, const MetricRegistry& registry) {
-  const BuildInfo& build = current_build_info();
-  write_family_header(os, "gridsec_build_info", "gauge",
-                      "Build provenance; the value is always 1.");
-  os << "gridsec_build_info{git_sha=\""
-     << openmetrics_escape_label(build.git_sha) << "\",build_type=\""
-     << openmetrics_escape_label(build.build_type) << "\",compiler=\""
-     << openmetrics_escape_label(build.compiler) << "\"} 1\n";
-
-  for (const auto& [name, value] : registry.counter_values()) {
-    const std::string om = openmetrics_name(name);
-    write_family_header(os, om, "counter",
-                        "Registry counter " + name + ".");
-    os << om << "_total " << value << '\n';
-  }
-  for (const auto& [name, value] : registry.gauge_values()) {
-    const std::string om = openmetrics_name(name);
-    write_family_header(os, om, "gauge", "Registry gauge " + name + ".");
-    os << om << ' ';
-    write_om_value(os, value);
-    os << '\n';
-  }
-  for (const auto& [name, d] : registry.histogram_snapshots()) {
-    write_quantile_family(os, openmetrics_name(name),
-                          "registry histogram " + name, "Bucket-interpolated",
-                          d);
-  }
-  for (const auto& [name, d] : registry.timer_snapshots()) {
-    write_quantile_family(os, openmetrics_name(name) + "_seconds",
-                          "registry timer " + name + " (seconds)",
-                          "Reservoir-estimated", d);
-  }
-  os << "# EOF\n";
-}
-
 }  // namespace gridsec::obs

@@ -40,7 +40,7 @@ TEST(BenchArgs, Defaults) {
 TEST(BenchArgs, ParsesEveryFlag) {
   const BenchArgs args =
       parse({"--trials=7", "--seed=42", "--threads=3", "--reps=5",
-             "--warmup=2", "--csv", "--json=out.json", "--metrics-port=0",
+             "--warmup=2", "--csv", "--json=out.json",
              "--timeseries=ts.json", "--progress"});
   EXPECT_EQ(args.trials, 7);
   EXPECT_EQ(args.seed, 42u);
@@ -49,14 +49,12 @@ TEST(BenchArgs, ParsesEveryFlag) {
   EXPECT_EQ(args.warmup, 2);
   EXPECT_TRUE(args.csv_only);
   EXPECT_EQ(args.json_file, "out.json");
-  EXPECT_EQ(args.metrics_port, 0);
   EXPECT_EQ(args.timeseries_file, "ts.json");
   EXPECT_TRUE(args.progress);
 }
 
 TEST(BenchArgs, TelemetryDefaultsOff) {
   const BenchArgs args = parse({});
-  EXPECT_EQ(args.metrics_port, -1);
   EXPECT_TRUE(args.timeseries_file.empty());
   EXPECT_FALSE(args.progress);
 }
@@ -99,12 +97,9 @@ TEST(BenchArgsDeathTest, RejectsNegativeSeedInsteadOfWrapping) {
 }
 
 TEST(BenchArgsDeathTest, RejectsMalformedTelemetryFlags) {
-  EXPECT_EXIT(parse({"--metrics-port=70000"}), testing::ExitedWithCode(2),
-              "malformed value");
-  EXPECT_EXIT(parse({"--metrics-port=-1"}), testing::ExitedWithCode(2),
-              "malformed value");
-  EXPECT_EXIT(parse({"--metrics-port=abc"}), testing::ExitedWithCode(2),
-              "malformed value");
+  // Unknown flags, such as an HTTP port, are refused rather than ignored.
+  EXPECT_EXIT(parse({"--metrics-port=0"}), testing::ExitedWithCode(2),
+              "unknown option");
   EXPECT_EXIT(parse({"--timeseries="}), testing::ExitedWithCode(2),
               "malformed value");
 }

@@ -22,7 +22,6 @@ namespace {
 // Minimal extraction of one numeric/string field per event object. The
 // exported JSON is machine-written with a fixed key order, so scanning for
 // `"key":` inside each line-delimited object is reliable.
-#ifndef GRIDSEC_NO_TRACING
 struct ParsedEvent {
   std::string name;
   long ts = 0;
@@ -50,7 +49,6 @@ std::vector<ParsedEvent> parse_events(const std::string& json) {
   }
   return out;
 }
-#endif  // GRIDSEC_NO_TRACING
 
 std::string export_json() {
   std::ostringstream os;
@@ -67,22 +65,6 @@ TEST(Tracer, DisabledByDefaultRecordsNothing) {
   EXPECT_EQ(Tracer::event_count(), 0u);
   EXPECT_EQ(export_json(), "[]\n");
 }
-
-#ifdef GRIDSEC_NO_TRACING
-
-// With tracing compiled out, start() must stay inert and the export empty.
-TEST(Tracer, CompiledOutIsAlwaysEmpty) {
-  Tracer::start();
-  {
-    GRIDSEC_TRACE_SPAN("t.compiled_out");
-  }
-  Tracer::stop();
-  EXPECT_FALSE(Tracer::enabled());
-  EXPECT_EQ(Tracer::event_count(), 0u);
-  EXPECT_EQ(export_json(), "[]\n");
-}
-
-#else  // capture-dependent tests below need real tracing compiled in
 
 TEST(Tracer, NestedSpansExportWithContainment) {
   Tracer::reset();
@@ -181,8 +163,6 @@ TEST(Tracer, ResetDiscardsEventsButKeepsCaptureState) {
   ASSERT_EQ(evs.size(), 1u);
   EXPECT_EQ(evs[0].name, "t.post");
 }
-
-#endif  // GRIDSEC_NO_TRACING
 
 }  // namespace
 }  // namespace gridsec::obs

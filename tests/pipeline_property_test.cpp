@@ -8,13 +8,19 @@
 //   * SA plan >= 0, >= greedy, >= random, and == enumeration (small cases);
 //   * defense never increases the adversary's realized gain;
 //   * collaborative >= individual on the same beliefs;
-//   * everything is deterministic per seed.
+//   * everything is deterministic per seed;
+//   * the impact matrix does not depend on whether simplex warm starts
+//     are on (the warm and cold solve paths agree).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "gridsec/core/game.hpp"
+#include "gridsec/lp/basis.hpp"
+#include "gridsec/obs/metrics.hpp"
 #include "gridsec/sim/scenario.hpp"
+#include "gridsec/sim/western_us.hpp"
 
 namespace gridsec {
 namespace {
@@ -161,6 +167,102 @@ TEST_P(PipelineProperty, DeterministicEndToEnd) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty, ::testing::Range(0, 12));
+
+// ---------------------------------------------------------------------------
+// Warm/cold path independence: every IM[a,t] and system_impact(t) must be
+// the same whether each LP warm-starts from a sibling basis or solves from
+// scratch. Guards any change to the pivot paths.
+
+/// Restores the process-wide warm-start switch even when an assertion
+/// fails mid-test.
+struct WarmStartGuard {
+  bool was_enabled = lp::warm_start_enabled();
+  ~WarmStartGuard() { lp::set_warm_start_enabled(was_enabled); }
+};
+
+struct PathRun {
+  cps::ImpactMatrix matrix{1, 1};
+  std::int64_t pivots = 0;
+};
+
+PathRun impact_with_warm_start(const flow::Network& net,
+                               const cps::Ownership& own, bool warm) {
+  lp::set_warm_start_enabled(warm);
+  obs::Counter& pivots = obs::default_registry().counter("lp.simplex.pivots");
+  const std::int64_t before = pivots.value();
+  auto impact = cps::compute_impact_matrix(net, own);
+  EXPECT_TRUE(impact.is_ok());
+  PathRun run;
+  run.pivots = pivots.value() - before;
+  if (impact.is_ok()) run.matrix = std::move(impact->matrix);
+  return run;
+}
+
+/// Runs the matrix warm then cold and checks every entry agrees to 1e-10
+/// of the largest absolute entry. Adds each run's pivots to the totals.
+void expect_path_independent(const flow::Network& net,
+                             const cps::Ownership& own,
+                             std::int64_t* warm_pivots,
+                             std::int64_t* cold_pivots) {
+  const PathRun warm = impact_with_warm_start(net, own, true);
+  const PathRun cold = impact_with_warm_start(net, own, false);
+  *warm_pivots += warm.pivots;
+  *cold_pivots += cold.pivots;
+  const cps::ImpactMatrix& w = warm.matrix;
+  const cps::ImpactMatrix& c = cold.matrix;
+  ASSERT_EQ(w.num_actors(), c.num_actors());
+  ASSERT_EQ(w.num_targets(), c.num_targets());
+  double scale = 0.0;
+  for (int t = 0; t < w.num_targets(); ++t) {
+    scale = std::max(scale, std::abs(w.system_impact(t)));
+    for (int a = 0; a < w.num_actors(); ++a) {
+      scale = std::max(scale, std::abs(w.at(a, t)));
+    }
+  }
+  const double tol = 1e-10 * scale;
+  for (int t = 0; t < w.num_targets(); ++t) {
+    EXPECT_LE(std::abs(w.system_impact(t) - c.system_impact(t)), tol)
+        << "system impact, target " << t;
+    for (int a = 0; a < w.num_actors(); ++a) {
+      EXPECT_LE(std::abs(w.at(a, t) - c.at(a, t)), tol)
+          << "actor " << a << ", target " << t;
+    }
+  }
+}
+
+TEST(WarmColdPathIndependence, WesternUsRandomOwnership) {
+  WarmStartGuard guard;
+  const sim::WesternUsModel model = sim::build_western_us();
+  const flow::Network& net = model.network;
+  Rng rng(2015);
+  std::int64_t warm_pivots = 0;
+  std::int64_t cold_pivots = 0;
+  for (int draw = 0; draw < 40; ++draw) {
+    const int actors = 2 + draw % 5;
+    const auto own = cps::Ownership::random(net.num_edges(), actors, rng);
+    SCOPED_TRACE("draw " + std::to_string(draw));
+    expect_path_independent(net, own, &warm_pivots, &cold_pivots);
+  }
+  // The cold path really ran: without warm starts the same solves pivot
+  // more.
+  EXPECT_GT(cold_pivots, warm_pivots);
+}
+
+TEST(WarmColdPathIndependence, RandomGrids) {
+  WarmStartGuard guard;
+  Rng rng(1603);
+  std::int64_t warm_pivots = 0;
+  std::int64_t cold_pivots = 0;
+  for (int draw = 0; draw < 200; ++draw) {
+    sim::RandomGridOptions opt;
+    opt.hubs = 6 + static_cast<int>(rng.uniform_index(7));
+    const flow::Network net = sim::make_random_grid(opt, rng);
+    const auto own = cps::Ownership::random(net.num_edges(), 3, rng);
+    SCOPED_TRACE("grid " + std::to_string(draw));
+    expect_path_independent(net, own, &warm_pivots, &cold_pivots);
+  }
+  EXPECT_GT(cold_pivots, warm_pivots);
+}
 
 }  // namespace
 }  // namespace gridsec

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,8 +19,6 @@
 
 namespace gridsec::obs {
 namespace {
-
-#ifndef GRIDSEC_NO_PROFILING
 
 /// Allocates exactly one heap block of `bytes` requested bytes and keeps
 /// it alive until the returned pointer dies.
@@ -284,9 +283,75 @@ TEST(Profiler, ConcurrentSpansAndAllocsAreTSanClean) {
   Profiler::reset();
 }
 
-#endif  // GRIDSEC_NO_PROFILING
+/// Completed frames named `name` anywhere in the tree (a name may sit
+/// under several parents).
+std::int64_t summed_count(const ProfileNode& n, const std::string& name) {
+  std::int64_t total = n.name == name ? n.count : 0;
+  for (const ProfileNode& c : n.children) total += summed_count(c, name);
+  return total;
+}
 
-// Parsing guards are available in every build flavor.
+/// Chrome-trace events named `name` in the tracer's export.
+std::int64_t chrome_count(const std::string& name) {
+  std::ostringstream os;
+  Tracer::write_chrome_json(os);
+  const std::string json = os.str();
+  const std::string key = "{\"name\":\"" + name + "\"";
+  std::int64_t n = 0;
+  for (std::size_t pos = json.find(key); pos != std::string::npos;
+       pos = json.find(key, pos + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// Both exports come from one recorder: with both captures on, every span
+// lands in the Chrome trace and in the call tree alike, on the caller and
+// on pool workers; with both off, a span lands in neither.
+TEST(Profiler, TraceAndProfileCapturesAgreeSpanForSpan) {
+  Profiler::stop();
+  Profiler::reset();
+  Tracer::stop();
+  Tracer::reset();
+  Profiler::start();
+  Tracer::start();
+  for (int i = 0; i < 5; ++i) {
+    GRIDSEC_TRACE_SPAN("prof.test.both_outer");
+    for (int j = 0; j < 3; ++j) {
+      GRIDSEC_TRACE_SPAN("prof.test.both_inner");
+    }
+  }
+  {
+    ThreadPool pool(3);
+    parallel_for(&pool, 32, [](std::size_t) {
+      GRIDSEC_TRACE_SPAN("prof.test.both_worker");
+      for (int j = 0; j < 2; ++j) {
+        GRIDSEC_TRACE_SPAN("prof.test.both_inner");
+      }
+    });
+  }
+  Tracer::stop();
+  Profiler::stop();
+  { GRIDSEC_TRACE_SPAN("prof.test.both_off"); }
+
+  const Profile p = Profiler::snapshot();
+  const std::vector<std::pair<std::string, std::int64_t>> expected = {
+      {"prof.test.both_outer", 5},
+      {"prof.test.both_inner", 5 * 3 + 32 * 2},
+      {"prof.test.both_worker", 32},
+      {"prof.test.both_off", 0}};
+  std::int64_t total = 0;
+  for (const auto& [name, want] : expected) {
+    EXPECT_EQ(chrome_count(name), summed_count(p.root, name)) << name;
+    EXPECT_EQ(chrome_count(name), want) << name;
+    total += want;
+  }
+  EXPECT_EQ(Tracer::event_count(), static_cast<std::size_t>(total));
+  Tracer::reset();
+  Profiler::reset();
+}
+
+// Parsing guards.
 TEST(ParseProfile, RejectsWrongSchemaAndGarbage) {
   EXPECT_FALSE(parse_profile("not json").is_ok());
   EXPECT_FALSE(parse_profile("{}").is_ok());

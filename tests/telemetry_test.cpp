@@ -1,5 +1,4 @@
-// Tests for gridsec::obs telemetry: OpenMetrics exposition conformance,
-// gridsec.timeseries round-trips, the background sampler, progress/ETA
+// Tests for gridsec::obs telemetry: gridsec.timeseries round-trips, the background sampler, progress/ETA
 // tracking, and the stall watchdog.
 #include "gridsec/obs/telemetry.hpp"
 
@@ -29,157 +28,6 @@ struct TrackerGuard {
   bool was_enabled = ProgressTracker::enabled();
   ~TrackerGuard() { ProgressTracker::set_enabled(was_enabled); }
 };
-
-// ---------------------------------------------------------------------------
-// OpenMetrics conformance.
-
-TEST(OpenMetrics, NameSanitization) {
-  EXPECT_EQ(openmetrics_name("lp.simplex.pivots"),
-            "gridsec_lp_simplex_pivots");
-  EXPECT_EQ(openmetrics_name("a.b-c/d e"), "gridsec_a_b_c_d_e");
-  EXPECT_EQ(openmetrics_name("Already_OK:colon9"),
-            "gridsec_Already_OK:colon9");
-}
-
-TEST(OpenMetrics, LabelEscaping) {
-  EXPECT_EQ(openmetrics_escape_label("plain"), "plain");
-  EXPECT_EQ(openmetrics_escape_label("back\\slash"), "back\\\\slash");
-  EXPECT_EQ(openmetrics_escape_label("quo\"te"), "quo\\\"te");
-  EXPECT_EQ(openmetrics_escape_label("new\nline"), "new\\nline");
-}
-
-TEST(OpenMetrics, CountersAndGauges) {
-  MetricRegistry reg;
-  reg.counter("tests.om.hits").add(42);
-  reg.gauge("tests.om.level").set(2.5);
-  std::ostringstream os;
-  write_openmetrics(os, reg);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("# HELP gridsec_tests_om_hits "), std::string::npos);
-  EXPECT_NE(out.find("# TYPE gridsec_tests_om_hits counter\n"),
-            std::string::npos);
-  EXPECT_NE(out.find("\ngridsec_tests_om_hits_total 42\n"),
-            std::string::npos);
-  EXPECT_NE(out.find("# TYPE gridsec_tests_om_level gauge\n"),
-            std::string::npos);
-  EXPECT_NE(out.find("\ngridsec_tests_om_level 2.5\n"), std::string::npos);
-  // The exposition must terminate with the OpenMetrics EOF marker.
-  EXPECT_GE(out.size(), 6u);
-  EXPECT_EQ(out.substr(out.size() - 6), "# EOF\n");
-}
-
-TEST(OpenMetrics, HistogramQuantiles) {
-  MetricRegistry reg;
-  Histogram& h = reg.histogram("tests.om.hist", {1.0, 10.0, 100.0});
-  for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i));
-  std::ostringstream os;
-  write_openmetrics(os, reg);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("gridsec_tests_om_hist{quantile=\"0.5\"} "),
-            std::string::npos);
-  EXPECT_NE(out.find("gridsec_tests_om_hist{quantile=\"0.9\"} "),
-            std::string::npos);
-  EXPECT_NE(out.find("gridsec_tests_om_hist{quantile=\"0.99\"} "),
-            std::string::npos);
-  EXPECT_NE(out.find("# TYPE gridsec_tests_om_hist_observations counter\n"),
-            std::string::npos);
-  EXPECT_NE(out.find("gridsec_tests_om_hist_observations_total 100\n"),
-            std::string::npos);
-  EXPECT_NE(out.find("gridsec_tests_om_hist_sum 5050\n"), std::string::npos);
-}
-
-TEST(OpenMetrics, TimerSecondsSuffix) {
-  MetricRegistry reg;
-  Timer& t = reg.timer("tests.om.solve");
-  t.observe_seconds(0.25);
-  t.observe_seconds(0.75);
-  std::ostringstream os;
-  write_openmetrics(os, reg);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("gridsec_tests_om_solve_seconds{quantile=\"0.5\"} "),
-            std::string::npos);
-  EXPECT_NE(out.find("gridsec_tests_om_solve_seconds_sum 1\n"),
-            std::string::npos);
-  EXPECT_NE(
-      out.find("gridsec_tests_om_solve_seconds_observations_total 2\n"),
-      std::string::npos);
-}
-
-TEST(OpenMetrics, BuildInfoGauge) {
-  MetricRegistry reg;
-  std::ostringstream os;
-  write_openmetrics(os, reg);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("# TYPE gridsec_build_info gauge\n"), std::string::npos);
-  EXPECT_NE(out.find("gridsec_build_info{git_sha=\""), std::string::npos);
-  EXPECT_NE(out.find("\"} 1\n"), std::string::npos);
-  const BuildInfo& info = current_build_info();
-  EXPECT_NE(out.find("build_type=\"" +
-                     openmetrics_escape_label(info.build_type) + "\""),
-            std::string::npos);
-}
-
-// Whole-exposition grammar check: every line is a comment, blank, the EOF
-// marker, or `name[{labels}] value`; every sample's family was declared by
-// a preceding # TYPE line.
-TEST(OpenMetrics, ExpositionGrammar) {
-  MetricRegistry reg;
-  reg.counter("tests.om.c").add(7);
-  reg.gauge("tests.om.g").set(-1.5);
-  reg.histogram("tests.om.h", {1.0, 2.0}).observe(1.5);
-  reg.timer("tests.om.t").observe_seconds(0.1);
-  std::ostringstream os;
-  write_openmetrics(os, reg);
-
-  std::istringstream in(os.str());
-  std::string line;
-  std::vector<std::string> typed_families;
-  bool saw_eof = false;
-  while (std::getline(in, line)) {
-    ASSERT_FALSE(saw_eof) << "content after # EOF: " << line;
-    ASSERT_FALSE(line.empty());
-    if (line == "# EOF") {
-      saw_eof = true;
-      continue;
-    }
-    if (line.compare(0, 7, "# TYPE ") == 0) {
-      std::istringstream fields(line.substr(7));
-      std::string family, type;
-      fields >> family >> type;
-      EXPECT_TRUE(type == "counter" || type == "gauge") << line;
-      typed_families.push_back(family);
-      continue;
-    }
-    if (line[0] == '#') {
-      EXPECT_EQ(line.compare(0, 7, "# HELP "), 0) << line;
-      continue;
-    }
-    // Sample line: name with optional {labels}, one space, value.
-    const std::size_t space = line.find_last_of(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    std::string name = line.substr(0, space);
-    const std::size_t brace = name.find('{');
-    if (brace != std::string::npos) {
-      EXPECT_EQ(name.back(), '}') << line;
-      name = name.substr(0, brace);
-    }
-    // The sample must belong to a declared family (counters append _total
-    // to the family name).
-    bool declared = false;
-    for (const std::string& fam : typed_families) {
-      if (name == fam || name == fam + "_total") declared = true;
-    }
-    EXPECT_TRUE(declared) << "undeclared sample: " << line;
-    char* end = nullptr;
-    const std::string value = line.substr(space + 1);
-    std::strtod(value.c_str(), &end);
-    const bool numeric = end != value.c_str() && *end == '\0';
-    EXPECT_TRUE(numeric || value == "NaN" || value == "+Inf" ||
-                value == "-Inf")
-        << line;
-  }
-  EXPECT_TRUE(saw_eof);
-}
 
 // ---------------------------------------------------------------------------
 // Timeseries artifact.
