@@ -48,7 +48,7 @@ struct BenchArgs {
   int reps = 0;
   int warmup = -1;
   // --timeseries=FILE: run the telemetry sampler for the whole bench and
-  // write the gridsec.timeseries artifact to FILE (.csv suffix = CSV).
+  // write the gridsec.timeseries artifact to FILE.
   std::string timeseries_file;
   // --progress: mirror live progress/ETA heartbeats to stderr.
   bool progress = false;
@@ -261,14 +261,9 @@ class Harness {
       return;
     }
     const obs::Timeseries ts = sampler_.snapshot();
-    const std::string& f = args_.timeseries_file;
-    if (f.size() >= 4 && f.compare(f.size() - 4, 4, ".csv") == 0) {
-      obs::write_timeseries_csv(out, ts);
-    } else {
-      obs::write_timeseries_json(out, ts);
-    }
+    obs::write_timeseries_json(out, ts);
     std::fprintf(stderr, "timeseries: %zu samples -> %s\n",
-                 ts.samples.size(), f.c_str());
+                 ts.samples.size(), args_.timeseries_file.c_str());
   }
 
   void emit_profile() {

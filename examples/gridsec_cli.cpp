@@ -20,14 +20,13 @@
 //                  gridsec.profile JSON to FILE plus folded flamegraph
 //                  stacks to FILE.folded (render with gridsec-inspect
 //                  profile FILE; see docs/observability.md)
-//   --metrics      dump the metrics registry as JSON to stdout after the run
 //   --progress     mirror live progress/ETA heartbeats to stderr
 //   --timeseries=FILE  run the telemetry sampler (100 ms cadence) and
 //                  write the gridsec.timeseries artifact to FILE at exit
-//                  (.csv extension selects the flat CSV form; render with
-//                  gridsec-inspect top FILE)
+//                  (render with gridsec-inspect top FILE)
 //   --report=FILE  write a gridsec.bench_report run report (provenance
-//                  manifest + wall time + metric deltas) to FILE
+//                  manifest + wall time + metric deltas + the full metrics
+//                  registry) to FILE
 //   --time-limit-ms=N  wall-clock budget per solve (LP pivoting, B&B nodes,
 //                  adversary search); expiry degrades to the best incumbent
 //   --fail-fast    treat any non-optimal solver verdict as a hard error
@@ -85,7 +84,6 @@ struct CliArgs {
   std::string profile_file;  // empty = profiling off
   std::string report_file;   // empty = no run report
   std::string audit_file;    // empty = no audit bundle
-  bool metrics = false;
   double time_limit_ms = 0.0;  // 0 = unlimited
   bool fail_fast = false;
   bool progress = false;
@@ -107,7 +105,7 @@ int usage() {
                "[--actors=N] [--seed=S] [--targets=K] [--collab] "
                "[--cost=C] [--budget=B] [--trace=FILE] [--profile=FILE] "
                "[--report=FILE] "
-               "[--audit=FILE] [--metrics] "
+               "[--audit=FILE] "
                "[--progress] [--timeseries=FILE] [--time-limit-ms=N] "
                "[--fail-fast] [--warm-start=on|off] "
                "[--recovery=ladder|off]\n");
@@ -205,7 +203,12 @@ int cmd_impact(const flow::ParsedNetwork& parsed, const CliArgs& args) {
   return 0;
 }
 
-int cmd_attack(const flow::ParsedNetwork& parsed, const CliArgs& args) {
+/// Narrative rows the commands attach to the --audit bundle (which targets
+/// the SA picked and why, how the defender spent its budget).
+using Attribution = std::vector<obs::AttributionRow>;
+
+int cmd_attack(const flow::ParsedNetwork& parsed, const CliArgs& args,
+               Attribution* attribution) {
   auto own = load_ownership(parsed, args);
   auto im = cps::compute_impact_matrix(parsed.network, own,
                                        impact_options(args));
@@ -223,13 +226,12 @@ int cmd_attack(const flow::ParsedNetwork& parsed, const CliArgs& args) {
   std::snprintf(note, sizeof(note),
                 "anticipated return %.2f across %zu targets (cap %d)",
                 plan.anticipated_return, plan.targets.size(), args.targets);
-  obs::add_audit_attribution("attacker", note);
+  attribution->push_back({"attacker", note});
   for (int t : plan.targets) {
     std::snprintf(note, sizeof(note),
                   "selected by SA: system impact %.2f, owner actor %d",
                   im->matrix.system_impact(t), own.owner(t));
-    obs::add_audit_attribution(
-        "attacker:" + parsed.network.edge(t).name, note);
+    attribution->push_back({"attacker:" + parsed.network.edge(t).name, note});
   }
   if (args.fail_fast && !plan.optimal()) {
     std::fprintf(stderr, "attack plan not optimal (--fail-fast): %s\n",
@@ -248,7 +250,8 @@ int cmd_attack(const flow::ParsedNetwork& parsed, const CliArgs& args) {
   return 0;
 }
 
-int cmd_defend(const flow::ParsedNetwork& parsed, const CliArgs& args) {
+int cmd_defend(const flow::ParsedNetwork& parsed, const CliArgs& args,
+               Attribution* attribution) {
   auto own = load_ownership(parsed, args);
   core::GameConfig game;
   game.adversary.max_targets = args.targets;
@@ -274,18 +277,17 @@ int cmd_defend(const flow::ParsedNetwork& parsed, const CliArgs& args) {
                 outcome->adversary_gain_undefended,
                 outcome->adversary_gain_defended,
                 outcome->defense_effectiveness);
-  obs::add_audit_attribution("defender", note);
+  attribution->push_back({"defender", note});
   for (int t : outcome->attack.targets) {
-    obs::add_audit_attribution("attacker:" + parsed.network.edge(t).name,
-                               "in the adversary's target set");
+    attribution->push_back({"attacker:" + parsed.network.edge(t).name,
+                            "in the adversary's target set"});
   }
   for (int t = 0; t < parsed.network.num_edges(); ++t) {
     if (!outcome->defense.defended[static_cast<std::size_t>(t)]) continue;
     std::snprintf(note, sizeof(note),
                   "hardened by actor %d at cost %.0f", own.owner(t),
                   args.cost);
-    obs::add_audit_attribution("defender:" + parsed.network.edge(t).name,
-                               note);
+    attribution->push_back({"defender:" + parsed.network.edge(t).name, note});
   }
   // The game degrades to budget-limited incumbents by default; --fail-fast
   // promotes any unproven plan to a hard error.
@@ -345,7 +347,8 @@ int cmd_rents(const flow::ParsedNetwork& parsed) {
   return 0;
 }
 
-int cmd_stackelberg(const flow::ParsedNetwork& parsed, const CliArgs& args) {
+int cmd_stackelberg(const flow::ParsedNetwork& parsed, const CliArgs& args,
+                    Attribution* attribution) {
   auto own = load_ownership(parsed, args);
   auto im = cps::compute_impact_matrix(parsed.network, own,
                                        impact_options(args));
@@ -366,10 +369,10 @@ int cmd_stackelberg(const flow::ParsedNetwork& parsed, const CliArgs& args) {
                 "%.2f",
                 plan.spending, plan.rounds, plan.undefended_return,
                 plan.follower_return);
-  obs::add_audit_attribution("defender", note);
+  attribution->push_back({"defender", note});
   for (int t : plan.follower_response.targets) {
-    obs::add_audit_attribution("attacker:" + parsed.network.edge(t).name,
-                               "follower best response target");
+    attribution->push_back({"attacker:" + parsed.network.edge(t).name,
+                            "follower best response target"});
   }
   std::printf("undefended follower value: %.2f\n", plan.undefended_return);
   std::printf("defended:");
@@ -387,13 +390,16 @@ int cmd_stackelberg(const flow::ParsedNetwork& parsed, const CliArgs& args) {
   return 0;
 }
 
-int run_command(const flow::ParsedNetwork& parsed, const CliArgs& args) {
+int run_command(const flow::ParsedNetwork& parsed, const CliArgs& args,
+                Attribution* attribution) {
   if (args.command == "dump") return cmd_dump(parsed, args);
   if (args.command == "impact") return cmd_impact(parsed, args);
-  if (args.command == "attack") return cmd_attack(parsed, args);
-  if (args.command == "defend") return cmd_defend(parsed, args);
+  if (args.command == "attack") return cmd_attack(parsed, args, attribution);
+  if (args.command == "defend") return cmd_defend(parsed, args, attribution);
   if (args.command == "rents") return cmd_rents(parsed);
-  if (args.command == "stackelberg") return cmd_stackelberg(parsed, args);
+  if (args.command == "stackelberg") {
+    return cmd_stackelberg(parsed, args, attribution);
+  }
   return usage();
 }
 
@@ -450,8 +456,6 @@ int main(int argc, char** argv) {
       args.collab = true;
     } else if (a == "--fail-fast") {
       args.fail_fast = true;
-    } else if (a == "--metrics") {
-      args.metrics = true;
     } else if (a == "--progress") {
       args.progress = true;
     } else {
@@ -503,13 +507,13 @@ int main(int argc, char** argv) {
   }
 
   if (!args.audit_file.empty()) {
-    gridsec::obs::clear_audit_attribution();
     gridsec::obs::AuditConfig audit_cfg;
     audit_cfg.capture_all = true;  // always have a bundle to write at exit
     gridsec::obs::arm_audit(std::move(audit_cfg));
   }
   if (!args.trace_file.empty()) gridsec::obs::Tracer::start();
-  const int rc = run_command(*parsed, args);
+  Attribution attribution;
+  const int rc = run_command(*parsed, args, &attribution);
   if (sampler.running()) {
     sampler.stop();  // takes the final sample: ring tail == exit registry
     if (!args.timeseries_file.empty()) {
@@ -520,14 +524,9 @@ int main(int argc, char** argv) {
         return 1;
       }
       const gridsec::obs::Timeseries ts = sampler.snapshot();
-      const std::string& f = args.timeseries_file;
-      if (f.size() >= 4 && f.compare(f.size() - 4, 4, ".csv") == 0) {
-        gridsec::obs::write_timeseries_csv(out, ts);
-      } else {
-        gridsec::obs::write_timeseries_json(out, ts);
-      }
+      gridsec::obs::write_timeseries_json(out, ts);
       std::fprintf(stderr, "timeseries: %zu samples -> %s\n",
-                   ts.samples.size(), f.c_str());
+                   ts.samples.size(), args.timeseries_file.c_str());
     }
   }
   if (!args.profile_file.empty()) {
@@ -548,8 +547,8 @@ int main(int argc, char** argv) {
   }
   if (!args.audit_file.empty()) {
     // Prefer the first failing solve (that is the one worth explaining);
-    // fall back to the last solve observed. Attribution rows were pushed
-    // by the command after the plans were known, so re-attach them here.
+    // fall back to the last solve observed. The command wrote its
+    // attribution rows after the plans were known, so attach them here.
     gridsec::obs::AuditBundle bundle;
     const bool have = gridsec::obs::first_audit_failure(&bundle) ||
                       gridsec::obs::last_audit_capture(&bundle);
@@ -557,7 +556,7 @@ int main(int argc, char** argv) {
     if (!have) {
       std::fprintf(stderr, "no solve observed; no audit bundle written\n");
     } else {
-      bundle.attribution = gridsec::obs::audit_attribution();
+      bundle.attribution = std::move(attribution);
       const auto written =
           gridsec::obs::write_audit_bundle_file(args.audit_file, bundle);
       if (!written.is_ok()) {
@@ -602,10 +601,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "trace: %zu events -> %s\n",
                  gridsec::obs::Tracer::event_count(),
                  args.trace_file.c_str());
-  }
-  if (args.metrics) {
-    gridsec::obs::default_registry().write_json(std::cout);
-    std::cout << "\n";
   }
   return rc;
 }

@@ -135,8 +135,9 @@ struct AuditBundle {
   std::vector<std::string> log_tail;  // JSONL lines from the logger ring
 };
 
-/// Assembles a bundle: runs certify(), extracts binding constraints,
-/// snapshots the current attribution rows and the logger ring tail.
+/// Assembles a bundle: runs certify(), extracts binding constraints and
+/// snapshots the logger ring tail. Attribution rows are the caller's to
+/// fill in (gridsec_cli attaches the plans it explains).
 [[nodiscard]] AuditBundle make_audit_bundle(
     const lp::Problem& problem, const lp::Solution& solution,
     std::string context, std::string trigger,
@@ -149,14 +150,6 @@ void write_audit_bundle(std::ostream& os, const AuditBundle& bundle);
     const std::string& text);
 [[nodiscard]] StatusOr<AuditBundle> read_audit_bundle_file(
     const std::string& path);
-
-/// Process-global attribution rows attached to every subsequently created
-/// bundle. The core/CLI layers push narrative context here (which targets
-/// the SA picked and why, defender budget splits) before solving.
-void set_audit_attribution(std::vector<AttributionRow> rows);
-void add_audit_attribution(std::string key, std::string note);
-void clear_audit_attribution();
-[[nodiscard]] std::vector<AttributionRow> audit_attribution();
 
 /// arm_audit() behaviour knobs.
 struct AuditConfig {

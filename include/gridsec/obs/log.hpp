@@ -10,18 +10,19 @@
 //      is evaluated).
 //   2. Lock-light. The record line is formatted entirely on the calling
 //      thread; the logger mutex is held only to move the finished string
-//      into the ring buffer and hand it to the sinks.
-//   3. Always diagnosable after the fact. Even with no sink attached,
-//      the last `Logger::kDefaultRingCapacity` records are retained in a
-//      ring buffer; obs::audit embeds that tail in every audit bundle, so
-//      a failed solve carries its own recent history.
+//      into the ring buffer (and mirror it to stderr when asked).
+//   3. Always diagnosable after the fact. The last
+//      `Logger::kDefaultRingCapacity` records are retained in a ring
+//      buffer; obs::audit embeds that tail in every audit bundle, so a
+//      failed solve carries its own recent history.
 //
 // Configuration:
 //   * `GRIDSEC_LOG_LEVEL` env var (trace|debug|info|warn|error|off)
 //     overrides the compiled default (info) at first use;
-//   * `GRIDSEC_LOG_STDERR=1` env var (or Logger::set_stderr_sink) mirrors
-//     records to stderr;
-//   * Logger::open_file_sink(path) appends records to a JSONL file.
+//   * `GRIDSEC_LOG_STDERR=1` env var mirrors records to stderr.
+//
+// Records are counted by the obs.log.records / obs.log.records.error
+// registry counters.
 //
 // Usage (the macro argument is the bare level name):
 //   GRIDSEC_LOG(kWarn, "lp.simplex")
@@ -69,20 +70,11 @@ class Logger {
   static void set_level(LogLevel level);
   [[nodiscard]] static LogLevel level();
 
-  /// Mirrors records to stderr (also armed by GRIDSEC_LOG_STDERR=1).
-  static void set_stderr_sink(bool enabled);
-  /// Appends records to `path` (truncates an existing file). Returns false
-  /// when the file cannot be opened. Empty path closes the sink.
-  static bool open_file_sink(const std::string& path);
-  static void close_file_sink();
-
   /// The most recent records (JSONL lines, oldest first), at most
   /// `max_records` (0 = the whole ring). Thread-safe snapshot.
   [[nodiscard]] static std::vector<std::string> tail(
       std::size_t max_records = 0);
-  /// Records emitted since process start (ring overwrites included).
-  [[nodiscard]] static std::uint64_t records_emitted();
-  /// Drops buffered records and zeroes nothing else (threshold/sinks keep).
+  /// Drops buffered records and zeroes nothing else (the threshold keeps).
   static void reset_ring();
 
   /// Takes ownership of a fully formatted record line (no trailing

@@ -1,5 +1,4 @@
-// Thread-safe metrics registry: counters, gauges, fixed-bucket histograms
-// and RunningStats-backed timers, with JSON/CSV export.
+// Thread-safe metrics registry: counters and gauges, with JSON export.
 //
 // Design goals, in order:
 //   1. Near-zero cost on hot paths. Counters and gauges are single relaxed
@@ -27,9 +26,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
-
-#include "gridsec/util/stats.hpp"
 
 namespace gridsec::obs {
 
@@ -52,12 +48,6 @@ class Counter {
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double delta) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
   [[nodiscard]] double value() const {
     return value_.load(std::memory_order_relaxed);
   }
@@ -65,82 +55,6 @@ class Gauge {
 
  private:
   std::atomic<double> value_{0.0};
-};
-
-/// Fixed-bucket histogram. Bucket i counts observations x with
-/// x <= bounds[i] (first matching bucket); one implicit overflow bucket
-/// collects x > bounds.back(). Bounds are fixed at construction.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double x);
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket counts; size() == bounds().size() + 1 (last = overflow).
-  [[nodiscard]] std::vector<std::int64_t> counts() const;
-  [[nodiscard]] std::int64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const;
-  /// Bucket-interpolated quantile estimate, q in [0, 1]. Assumes a uniform
-  /// distribution within each bucket with the first bucket anchored at
-  /// min(0, bounds[0]); observations in the overflow bucket clamp to
-  /// bounds.back(). Returns 0 when empty.
-  [[nodiscard]] double quantile(double q) const;
-  void reset();
-
- private:
-  std::vector<double> bounds_;                       // ascending
-  std::vector<std::atomic<std::int64_t>> buckets_;   // bounds_.size() + 1
-  std::atomic<std::int64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-/// Duration accumulator backed by RunningStats (mean/stddev/min/max over
-/// observed seconds). Mutex-protected: use per-solve or coarser, never
-/// per-iteration. Keeps a bounded reservoir of samples (deterministic LCG
-/// replacement once full) so tail quantiles stay available at export time.
-class Timer {
- public:
-  void observe_seconds(double s);
-  [[nodiscard]] RunningStats snapshot() const;
-  /// Reservoir-estimated quantile of observed seconds, q in [0, 1].
-  /// Exact until the reservoir (kReservoirCapacity samples) overflows;
-  /// an unbiased estimate after. Returns 0 when empty.
-  [[nodiscard]] double quantile(double q) const;
-  void reset();
-
-  static constexpr std::size_t kReservoirCapacity = 2048;
-
- private:
-  mutable std::mutex mutex_;
-  RunningStats stats_;
-  std::vector<double> samples_;  // reservoir, <= kReservoirCapacity
-  std::uint64_t lcg_ = 0x9e3779b97f4a7c15ULL;
-};
-
-/// RAII: times a scope into a Timer. A null timer records nothing.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer* timer);
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Timer* timer_;
-  std::uint64_t start_ns_;
-};
-
-/// Point-in-time summary of one histogram or timer: observation count,
-/// sum, and the p50/p90/p99 estimates the instrument already exposes.
-/// Timers report seconds (sum = total observed seconds).
-struct DistSnapshot {
-  std::int64_t count = 0;
-  double sum = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
 };
 
 /// Named instrument store. Lookup is mutex + map (slow path); call sites
@@ -152,12 +66,9 @@ class MetricRegistry {
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
   /// Find-or-create by name. The reference stays valid for the registry's
-  /// lifetime. histogram() with a name that already exists returns the
-  /// existing instrument (the bounds argument is ignored then).
+  /// lifetime.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds);
-  Timer& timer(const std::string& name);
 
   /// Zeroes every instrument's value. References remain valid.
   void reset();
@@ -169,24 +80,14 @@ class MetricRegistry {
   /// Point-in-time snapshot of every gauge's value, keyed by name.
   [[nodiscard]] std::map<std::string, double> gauge_values() const;
 
-  /// Count/sum/quantile summaries of every histogram (resp. timer), keyed
-  /// by name. Quantiles are the same estimates write_json() exports.
-  [[nodiscard]] std::map<std::string, DistSnapshot> histogram_snapshots()
-      const;
-  [[nodiscard]] std::map<std::string, DistSnapshot> timer_snapshots() const;
-
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...},
-  /// "timers":{...}}. Names sorted; stable across runs.
+  /// One JSON object: {"counters":{...},"gauges":{...}}. Names sorted;
+  /// stable across runs.
   void write_json(std::ostream& os) const;
-  /// Flat CSV: kind,name,field,value — one line per scalar.
-  void write_csv(std::ostream& os) const;
 
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<Timer>> timers_;
 };
 
 /// The process-global registry every built-in instrumentation site writes

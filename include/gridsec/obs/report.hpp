@@ -14,9 +14,9 @@
 //      repetitions, total and per repetition.
 //   3. The full metrics-registry dump, for ad-hoc digging.
 //
-// parse_report() reads the JSON back (a minimal parser lives in
-// report.cpp; no external dependency), and diff_reports() compares two
-// parsed reports with per-metric relative thresholds — the engine behind
+// parse_report() reads the JSON back (through the shared obs JSON reader;
+// no external dependency), and diff_reports() compares two parsed reports
+// with fixed per-metric thresholds — the engine behind
 // the `gridsec-benchdiff` CI gate. See docs/observability.md for the
 // schema and the baseline-refresh workflow.
 #pragma once
@@ -110,31 +110,20 @@ struct RunReport {
 /// malformed JSON with an explanatory Status.
 StatusOr<RunReport> parse_report(const std::string& json_text);
 
-/// Thresholds for diff_reports(). A tracked quantity "regresses" when the
-/// new value exceeds the baseline by more than the relative threshold AND
-/// by more than the absolute slack (so near-zero baselines don't trip on
-/// noise). Improvements never gate.
-struct DiffOptions {
-  double metric_rel_threshold = 0.10;  // per-rep counter deltas
-  double metric_abs_slack = 4.0;       // absolute per-rep units of slack
-  /// Wall-time gating is opt-in (0 disables): CI baselines come from
-  /// different hardware, so the default gate is count-based only.
-  double wall_rel_threshold = 0.0;
-  /// Metric names starting with any of these prefixes are reported but
-  /// never gate (e.g. thread-count-dependent scheduler counters).
-  std::vector<std::string> ignore_prefixes;
-  /// Metric names ending with any of these suffixes carry wall-clock time
-  /// (nanosecond counters such as util.threadpool.busy_ns). Like wall
-  /// medians they depend on the hardware, so they are reported but never
-  /// gate — in either direction: their disappearance from the new report
-  /// is not treated as a coverage regression either.
-  std::vector<std::string> time_suffixes{"_ns"};
-};
+/// The diff rules. A per-rep counter delta regresses when it exceeds the
+/// baseline by more than kDiffMetricRelThreshold relative AND by more than
+/// kDiffMetricAbsSlack absolute (so near-zero baselines don't trip on
+/// noise). Improvements never gate. Wall time and metrics ending in
+/// kDiffTimeSuffix carry hardware-dependent wall-clock time: they are
+/// reported but never gate, in either direction.
+inline constexpr double kDiffMetricRelThreshold = 0.10;
+inline constexpr double kDiffMetricAbsSlack = 4.0;
+inline constexpr const char* kDiffTimeSuffix = "_ns";
 
 enum class DiffVerdict {
   kOk,          // within threshold (or an improvement)
   kRegression,  // worse than baseline beyond threshold
-  kInfo,        // not gated: new case/metric, or ignored prefix
+  kInfo,        // not gated: wall/time metric, or new case/metric
 };
 
 struct DiffRow {
@@ -158,8 +147,7 @@ struct DiffReport {
 /// metric present in the baseline but missing from `current` counts as a
 /// regression (coverage loss); quantities only in `current` — e.g. newly
 /// added counters that predate the baseline — are kInfo, never a failure.
-/// Time-suffixed and prefix-ignored metrics are kInfo on both sides.
-DiffReport diff_reports(const RunReport& baseline, const RunReport& current,
-                        const DiffOptions& options = {});
+/// Time-suffixed metrics are kInfo on both sides.
+DiffReport diff_reports(const RunReport& baseline, const RunReport& current);
 
 }  // namespace gridsec::obs

@@ -97,20 +97,6 @@ class Progress {
 };
 
 // ---------------------------------------------------------------------------
-// Build provenance.
-
-/// The provenance triple baked into report.cpp at configure time, re-used
-/// here so timeseries artifacts carry it without a side-channel file.
-struct BuildInfo {
-  std::string git_sha;
-  std::string build_type;
-  std::string compiler;
-};
-
-/// Captured once per process (cheap after the first call).
-[[nodiscard]] const BuildInfo& current_build_info();
-
-// ---------------------------------------------------------------------------
 // Time-series sampling.
 
 /// Wire-format version of the gridsec.timeseries artifact.
@@ -140,17 +126,15 @@ struct Timeseries {
   int schema_version = kTimeseriesSchemaVersion;
   std::string start_time_utc;  // ISO 8601, sampler start
   double cadence_ms = 0.0;
-  BuildInfo build;
+  // Build provenance, from RunManifest::capture (JSON "build" object).
+  std::string git_sha;
+  std::string build_type;
+  std::string compiler;
   std::uint64_t dropped = 0;  // ring overwrites (oldest evicted)
   std::vector<TelemetrySample> samples;
 };
 
 void write_timeseries_json(std::ostream& os, const Timeseries& ts);
-/// Flat CSV, one line per scalar: t_seconds,kind,name,value with kind in
-/// {counter, gauge, worker_busy_ns, worker_idle_ns, worker_tasks,
-/// progress_done, progress_total}. Lossy (no header block); for
-/// spreadsheets, not round-trips.
-void write_timeseries_csv(std::ostream& os, const Timeseries& ts);
 /// Inverse of write_timeseries_json. Rejects wrong schema name/version and
 /// malformed JSON with an explanatory Status.
 StatusOr<Timeseries> parse_timeseries(const std::string& json_text);

@@ -393,9 +393,6 @@ struct SimplexMetricsGuard {
     static obs::Counter& c_stability =
         reg.counter("lp.basis.residual_refactorizations");
     static obs::Gauge& g_growth = reg.gauge("lp.basis.pivot_growth_max");
-    static obs::Histogram& h_pivots = reg.histogram(
-        "lp.simplex.pivots_per_solve",
-        {0.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0});
     solves.add();
     c_pivots.add(pivots);
     c_degen.add(degenerate);
@@ -416,7 +413,6 @@ struct SimplexMetricsGuard {
     if (status != SolveStatus::kOptimal) c_failed.add();
     if (status == SolveStatus::kTimeLimit) c_timeouts.add();
     if (status == SolveStatus::kNumericalError) c_numerical.add();
-    h_pivots.observe(static_cast<double>(pivots));
   }
 
   void absorb(const IterationOutcome& out) {

@@ -1,10 +1,8 @@
 #include "gridsec/obs/audit.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <ctime>
 #include <fstream>
 #include <mutex>
 #include <optional>
@@ -24,30 +22,10 @@ using lp::Solution;
 using lp::SolveStatus;
 using lp::VarType;
 
+using json::write_number;
+
 // ---------------------------------------------------------------------------
 // Small shared helpers
-
-std::string utc_now_iso8601() {
-  const std::time_t now =
-      std::chrono::system_clock::to_time_t(std::chrono::system_clock::now());
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-void write_number(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // JSON has no Inf/NaN literals; infinite bounds are elided by the writer
-  // and anything else non-finite is a data bug worth preserving visibly.
-  if (std::isfinite(v)) {
-    os << buf;
-  } else {
-    os << '"' << buf << '"';
-  }
-}
 
 std::string_view sense_token(Sense s) {
   switch (s) {
@@ -490,34 +468,6 @@ std::vector<BindingConstraint> binding_constraints(const Problem& problem,
 }
 
 // ---------------------------------------------------------------------------
-// Attribution rows
-
-namespace {
-std::mutex g_attr_mu;
-std::vector<AttributionRow> g_attr;
-}  // namespace
-
-void set_audit_attribution(std::vector<AttributionRow> rows) {
-  const std::lock_guard<std::mutex> lock(g_attr_mu);
-  g_attr = std::move(rows);
-}
-
-void add_audit_attribution(std::string key, std::string note) {
-  const std::lock_guard<std::mutex> lock(g_attr_mu);
-  g_attr.push_back({std::move(key), std::move(note)});
-}
-
-void clear_audit_attribution() {
-  const std::lock_guard<std::mutex> lock(g_attr_mu);
-  g_attr.clear();
-}
-
-std::vector<AttributionRow> audit_attribution() {
-  const std::lock_guard<std::mutex> lock(g_attr_mu);
-  return g_attr;
-}
-
-// ---------------------------------------------------------------------------
 // Bundle assembly + JSON round trip
 
 AuditBundle make_audit_bundle(const Problem& problem, const Solution& solution,
@@ -526,14 +476,13 @@ AuditBundle make_audit_bundle(const Problem& problem, const Solution& solution,
   AuditBundle b;
   b.context = std::move(context);
   b.trigger = std::move(trigger);
-  b.created_utc = utc_now_iso8601();
+  b.created_utc = json::utc_now_iso8601();
   b.problem = problem;
   b.solution = solution;
   CertifyOptions opts = options;
   opts.relaxation = opts.relaxation || context_is_relaxation(b.context);
   b.certificate = certify(problem, solution, opts);
   b.binding = binding_constraints(problem, solution, opts.feasibility_tol);
-  b.attribution = audit_attribution();
   b.log_tail = Logger::tail();
   return b;
 }
@@ -721,47 +670,48 @@ Status parse_error(const std::string& what) {
 }
 
 Status parse_problem(const json::JsonValue& v, Problem* out) {
-  const json::JsonValue* obj = v.find("objective");
-  if (obj == nullptr) return parse_error("problem.objective missing");
-  *out = Problem(obj->string_or("min") == "max" ? Objective::kMaximize
-                                                : Objective::kMinimize);
+  if (v.find("objective") == nullptr) {
+    return parse_error("problem.objective missing");
+  }
+  *out = Problem(v.string_field("objective", "min") == "max"
+                     ? Objective::kMaximize
+                     : Objective::kMinimize);
   const json::JsonValue* vars = v.find("variables");
   if (vars == nullptr || vars->kind != json::JsonValue::Kind::kArray) {
     return parse_error("problem.variables missing");
   }
   for (const json::JsonValue& var : vars->array) {
-    const json::JsonValue* type = var.find("type");
     VarType vt = VarType::kContinuous;
-    if (type != nullptr && !parse_vartype(type->string_or("cont"), &vt)) {
+    if (!parse_vartype(var.string_field("type", "cont"), &vt)) {
       return parse_error("unknown variable type");
     }
-    const json::JsonValue* upper = var.find("upper");
-    const json::JsonValue* name = var.find("name");
-    const json::JsonValue* lower = var.find("lower");
-    const json::JsonValue* objc = var.find("obj");
-    if (name == nullptr || lower == nullptr || objc == nullptr) {
+    if (var.find("name") == nullptr || var.find("lower") == nullptr ||
+        var.find("obj") == nullptr) {
       return parse_error("variable fields missing");
     }
-    out->add_variable(name->string_or(""), lower->number_or(0.0),
-                      upper != nullptr ? upper->number_or(lp::kInfinity)
-                                       : lp::kInfinity,
-                      objc->number_or(0.0), vt);
+    // Bounds come from a file; reject what Problem would assert on.
+    const double lower = var.number_field("lower");
+    const double upper = var.number_field("upper", lp::kInfinity);
+    if (!std::isfinite(lower) || !(lower <= upper) ||
+        (vt == VarType::kBinary && (lower < 0.0 || upper > 1.0))) {
+      return parse_error("invalid variable bounds");
+    }
+    out->add_variable(var.string_field("name"), lower, upper,
+                      var.number_field("obj"), vt);
   }
   const json::JsonValue* rows = v.find("constraints");
   if (rows == nullptr || rows->kind != json::JsonValue::Kind::kArray) {
     return parse_error("problem.constraints missing");
   }
   for (const json::JsonValue& row : rows->array) {
-    const json::JsonValue* name = row.find("name");
-    const json::JsonValue* sense = row.find("sense");
-    const json::JsonValue* rhs = row.find("rhs");
     const json::JsonValue* terms = row.find("terms");
-    if (name == nullptr || sense == nullptr || rhs == nullptr ||
-        terms == nullptr || terms->kind != json::JsonValue::Kind::kArray) {
+    if (row.find("name") == nullptr || row.find("sense") == nullptr ||
+        row.find("rhs") == nullptr || terms == nullptr ||
+        terms->kind != json::JsonValue::Kind::kArray) {
       return parse_error("constraint fields missing");
     }
     Sense s = Sense::kLessEqual;
-    if (!parse_sense(sense->string_or(""), &s)) {
+    if (!parse_sense(row.string_field("sense"), &s)) {
       return parse_error("unknown constraint sense");
     }
     lp::LinearExpr expr;
@@ -769,67 +719,51 @@ Status parse_problem(const json::JsonValue& v, Problem* out) {
       if (t.kind != json::JsonValue::Kind::kArray || t.array.size() != 2) {
         return parse_error("malformed constraint term");
       }
-      const int var = static_cast<int>(t.array[0].number_or(-1.0));
+      const std::int64_t var = t.array[0].int_or(-1);
       if (var < 0 || var >= out->num_variables()) {
         return parse_error("constraint term references unknown variable");
       }
-      expr.add(var, t.array[1].number_or(0.0));
+      expr.add(static_cast<int>(var), t.array[1].number_or(0.0));
     }
-    out->add_constraint(name->string_or(""), std::move(expr), s,
-                        rhs->number_or(0.0));
+    out->add_constraint(row.string_field("name"), std::move(expr), s,
+                        row.number_field("rhs"));
   }
   return Status::ok();
 }
 
-Status parse_double_array(const json::JsonValue* v, std::vector<double>* out) {
-  out->clear();
-  if (v == nullptr) return parse_error("array field missing");
-  if (v->kind != json::JsonValue::Kind::kArray) {
-    return parse_error("expected array");
+Status parse_double_array(const json::JsonValue& parent, const char* key,
+                          std::vector<double>* out) {
+  const json::JsonValue* v = parent.find(key);
+  if (v == nullptr || v->kind != json::JsonValue::Kind::kArray) {
+    return parse_error(std::string("solution.") + key + " must be an array");
   }
+  out->clear();
   out->reserve(v->array.size());
   for (const json::JsonValue& e : v->array) out->push_back(e.number_or(0.0));
   return Status::ok();
 }
 
 Status parse_solution(const json::JsonValue& v, Solution* out) {
-  const json::JsonValue* status = v.find("status");
-  if (status == nullptr ||
-      !parse_solve_status(status->string_or(""), &out->status)) {
+  if (!parse_solve_status(v.string_field("status"), &out->status)) {
     return parse_error("solution.status missing or unknown");
   }
-  out->objective = v.find("objective") != nullptr
-                       ? v.find("objective")->number_or(0.0)
-                       : 0.0;
-  out->iterations = v.find("iterations") != nullptr
-                        ? static_cast<long>(
-                              v.find("iterations")->number_or(0.0))
-                        : 0;
-  Status st = parse_double_array(v.find("x"), &out->x);
+  out->objective = v.number_field("objective");
+  out->iterations = static_cast<long>(v.int_field("iterations"));
+  Status st = parse_double_array(v, "x", &out->x);
+  if (st.is_ok()) st = parse_double_array(v, "duals", &out->duals);
+  if (st.is_ok()) {
+    st = parse_double_array(v, "reduced_costs", &out->reduced_costs);
+  }
   if (!st.is_ok()) return st;
-  st = parse_double_array(v.find("duals"), &out->duals);
-  if (!st.is_ok()) return st;
-  st = parse_double_array(v.find("reduced_costs"), &out->reduced_costs);
-  if (!st.is_ok()) return st;
-  if (const json::JsonValue* bnb = v.find("bnb"); bnb != nullptr) {
-    out->bnb.nodes_explored = static_cast<long>(
-        bnb->find("nodes_explored") != nullptr
-            ? bnb->find("nodes_explored")->number_or(0.0)
-            : 0.0);
-    out->bnb.lp_solves = static_cast<long>(
-        bnb->find("lp_solves") != nullptr
-            ? bnb->find("lp_solves")->number_or(0.0)
-            : 0.0);
-    out->bnb.incumbent_updates = static_cast<long>(
-        bnb->find("incumbent_updates") != nullptr
-            ? bnb->find("incumbent_updates")->number_or(0.0)
-            : 0.0);
+  if (const json::JsonValue* bnb = v.find("bnb")) {
+    out->bnb.nodes_explored =
+        static_cast<long>(bnb->int_field("nodes_explored"));
+    out->bnb.lp_solves = static_cast<long>(bnb->int_field("lp_solves"));
+    out->bnb.incumbent_updates =
+        static_cast<long>(bnb->int_field("incumbent_updates"));
   }
   // Warm-start provenance (absent in pre-warm-start bundles).
-  if (const json::JsonValue* ws = v.find("warm_started"); ws != nullptr) {
-    out->warm_started =
-        ws->kind == json::JsonValue::Kind::kBool && ws->boolean;
-  }
+  out->warm_started = v.bool_field("warm_started");
   if (const json::JsonValue* basis = v.find("basis"); basis != nullptr) {
     auto parsed = lp::parse_basis(basis->string_or(""));
     if (!parsed.is_ok()) return parsed.status();
@@ -842,18 +776,13 @@ Status parse_solution(const json::JsonValue& v, Solution* out) {
       return parse_error("solution.recovery_trail must be an array");
     }
     for (const json::JsonValue& e : trail->array) {
-      const json::JsonValue* rung = e.find("rung");
-      const json::JsonValue* step_status = e.find("status");
       lp::RecoveryStepInfo step;
-      if (rung == nullptr || step_status == nullptr ||
-          !parse_solve_status(step_status->string_or(""), &step.status)) {
+      if (e.find("rung") == nullptr ||
+          !parse_solve_status(e.string_field("status"), &step.status)) {
         return parse_error("malformed recovery_trail entry");
       }
-      step.rung = rung->string_or("");
-      const json::JsonValue* cert = e.find("certified");
-      step.certified = cert != nullptr &&
-                       cert->kind == json::JsonValue::Kind::kBool &&
-                       cert->boolean;
+      step.rung = e.string_field("rung");
+      step.certified = e.bool_field("certified");
       out->recovery_trail.push_back(std::move(step));
     }
   }
@@ -861,31 +790,20 @@ Status parse_solution(const json::JsonValue& v, Solution* out) {
 }
 
 Status parse_certificate(const json::JsonValue& v, Certificate* out) {
-  const json::JsonValue* verdict = v.find("verdict");
-  if (verdict == nullptr ||
-      !parse_verdict(verdict->string_or(""), &out->verdict)) {
+  if (!parse_verdict(v.string_field("verdict"), &out->verdict)) {
     return parse_error("certificate.verdict missing or unknown");
   }
-  const json::JsonValue* milp = v.find("milp");
-  out->milp = milp != nullptr && milp->kind == json::JsonValue::Kind::kBool &&
-              milp->boolean;
-  const auto num = [&v](const char* name) {
-    const json::JsonValue* f = v.find(name);
-    return f != nullptr ? f->number_or(0.0) : 0.0;
-  };
-  out->primal_residual = num("primal_residual");
-  out->bound_residual = num("bound_residual");
-  out->dual_residual = num("dual_residual");
-  out->reduced_cost_residual = num("reduced_cost_residual");
-  out->complementary_slackness = num("complementary_slackness");
-  out->duality_gap = num("duality_gap");
-  out->integrality_residual = num("integrality_residual");
-  out->objective_residual = num("objective_residual");
-  if (const json::JsonValue* viol = v.find("violations");
-      viol != nullptr && viol->kind == json::JsonValue::Kind::kArray) {
-    for (const json::JsonValue& e : viol->array) {
-      out->violations.push_back(e.string_or(""));
-    }
+  out->milp = v.bool_field("milp");
+  out->primal_residual = v.number_field("primal_residual");
+  out->bound_residual = v.number_field("bound_residual");
+  out->dual_residual = v.number_field("dual_residual");
+  out->reduced_cost_residual = v.number_field("reduced_cost_residual");
+  out->complementary_slackness = v.number_field("complementary_slackness");
+  out->duality_gap = v.number_field("duality_gap");
+  out->integrality_residual = v.number_field("integrality_residual");
+  out->objective_residual = v.number_field("objective_residual");
+  for (const json::JsonValue& e : v.array_field("violations")) {
+    out->violations.push_back(e.string_or(""));
   }
   return Status::ok();
 }
@@ -898,26 +816,18 @@ StatusOr<AuditBundle> parse_audit_bundle(const std::string& text) {
   if (!parsed.is_ok()) return parsed.status();
   const json::JsonValue& root = parsed.value();
 
-  const json::JsonValue* schema = root.find("schema");
-  if (schema == nullptr || schema->string_or("") != "gridsec.audit_bundle") {
+  if (root.string_field("schema") != "gridsec.audit_bundle") {
     return parse_error("not a gridsec.audit_bundle document");
   }
   AuditBundle b;
-  const json::JsonValue* version = root.find("version");
-  if (version == nullptr) return parse_error("version missing");
-  b.version = static_cast<int>(version->number_or(0.0));
+  if (root.find("version") == nullptr) return parse_error("version missing");
+  b.version = static_cast<int>(root.int_field("version"));
   if (b.version != 1) {
     return parse_error("unsupported version " + std::to_string(b.version));
   }
-  b.context =
-      root.find("context") != nullptr ? root.find("context")->string_or("")
-                                      : "";
-  b.trigger =
-      root.find("trigger") != nullptr ? root.find("trigger")->string_or("")
-                                      : "";
-  b.created_utc = root.find("created_utc") != nullptr
-                      ? root.find("created_utc")->string_or("")
-                      : "";
+  b.context = root.string_field("context");
+  b.trigger = root.string_field("trigger");
+  b.created_utc = root.string_field("created_utc");
   const json::JsonValue* problem = root.find("problem");
   if (problem == nullptr) return parse_error("problem missing");
   Status st = parse_problem(*problem, &b.problem);
@@ -931,39 +841,21 @@ StatusOr<AuditBundle> parse_audit_bundle(const std::string& text) {
   st = parse_certificate(*cert, &b.certificate);
   if (!st.is_ok()) return st;
 
-  if (const json::JsonValue* binding = root.find("binding_constraints");
-      binding != nullptr && binding->kind == json::JsonValue::Kind::kArray) {
-    for (const json::JsonValue& e : binding->array) {
-      BindingConstraint bc;
-      bc.row = static_cast<int>(
-          e.find("row") != nullptr ? e.find("row")->number_or(-1.0) : -1.0);
-      bc.name = e.find("name") != nullptr ? e.find("name")->string_or("") : "";
-      bc.sense =
-          e.find("sense") != nullptr ? e.find("sense")->string_or("") : "";
-      bc.activity = e.find("activity") != nullptr
-                        ? e.find("activity")->number_or(0.0)
-                        : 0.0;
-      bc.rhs = e.find("rhs") != nullptr ? e.find("rhs")->number_or(0.0) : 0.0;
-      bc.dual =
-          e.find("dual") != nullptr ? e.find("dual")->number_or(0.0) : 0.0;
-      b.binding.push_back(std::move(bc));
-    }
+  for (const json::JsonValue& e : root.array_field("binding_constraints")) {
+    BindingConstraint bc;
+    bc.row = static_cast<int>(e.int_field("row", -1));
+    bc.name = e.string_field("name");
+    bc.sense = e.string_field("sense");
+    bc.activity = e.number_field("activity");
+    bc.rhs = e.number_field("rhs");
+    bc.dual = e.number_field("dual");
+    b.binding.push_back(std::move(bc));
   }
-  if (const json::JsonValue* attr = root.find("attribution");
-      attr != nullptr && attr->kind == json::JsonValue::Kind::kArray) {
-    for (const json::JsonValue& e : attr->array) {
-      AttributionRow row;
-      row.key = e.find("key") != nullptr ? e.find("key")->string_or("") : "";
-      row.note =
-          e.find("note") != nullptr ? e.find("note")->string_or("") : "";
-      b.attribution.push_back(std::move(row));
-    }
+  for (const json::JsonValue& e : root.array_field("attribution")) {
+    b.attribution.push_back({e.string_field("key"), e.string_field("note")});
   }
-  if (const json::JsonValue* tail = root.find("log_tail");
-      tail != nullptr && tail->kind == json::JsonValue::Kind::kArray) {
-    for (const json::JsonValue& e : tail->array) {
-      b.log_tail.push_back(e.string_or(""));
-    }
+  for (const json::JsonValue& e : root.array_field("log_tail")) {
+    b.log_tail.push_back(e.string_or(""));
   }
   return b;
 }

@@ -1,17 +1,32 @@
-// Minimal internal JSON reader shared by the obs artifact parsers
-// (report.cpp, audit.cpp) and their tests. Header-only, recursive descent
-// over a value tree, no external dependency. Deliberately NOT installed
-// under include/ — the public surface stays parse_report/parse_audit_bundle;
-// this is plumbing for round-tripping our own artifacts.
+// The JSON vocabulary shared by every obs artifact writer and reader
+// (report, profile, timeseries, audit bundle, registry dump, log records,
+// Chrome trace): one string escaper, one number policy, one UTC timestamp
+// format, and a minimal recursive-descent reader with typed field access.
+// Header-only, no external dependency. Deliberately NOT installed under
+// include/ — the public surface is the parse_*/write_* functions of each
+// artifact; this is the plumbing that keeps them agreeing.
+//
+// Number policy: finite doubles are written as %.17g, which reads back
+// bit-exact. JSON has no NaN/Inf literals, so non-finite values are
+// written as the strings "nan", "inf" and "-inf"; the typed readers
+// decode them back. Integer literals are also kept as exact int64, so
+// counters above 2^53 survive a round trip.
 #pragma once
 
 #include <cctype>
+#include <cerrno>
+#include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gridsec/util/error.hpp"
@@ -23,6 +38,8 @@ struct JsonValue {
   Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
+  bool is_integer = false;  // number token was an int64-range integer
+  std::int64_t integer = 0;  // exact value when is_integer
   std::string string;
   std::vector<JsonValue> array;
   // Map keeps insertion order irrelevant; artifact keys are unique.
@@ -33,11 +50,62 @@ struct JsonValue {
     const auto it = object.find(key);
     return it != object.end() ? &it->second : nullptr;
   }
+
+  /// The number, including the quoted non-finite forms; `fallback` for
+  /// any other kind.
   [[nodiscard]] double number_or(double fallback) const {
-    return kind == Kind::kNumber ? number : fallback;
+    if (kind == Kind::kNumber) return number;
+    if (kind == Kind::kString) {
+      if (string == "nan") return std::numeric_limits<double>::quiet_NaN();
+      if (string == "inf") return std::numeric_limits<double>::infinity();
+      if (string == "-inf") return -std::numeric_limits<double>::infinity();
+    }
+    return fallback;
+  }
+  /// The exact integer for integer tokens; other numbers truncate when
+  /// they fit in int64. `fallback` otherwise.
+  [[nodiscard]] std::int64_t int_or(std::int64_t fallback) const {
+    if (kind != Kind::kNumber) return fallback;
+    if (is_integer) return integer;
+    if (!(std::abs(number) < 9.2e18)) return fallback;
+    return static_cast<std::int64_t>(number);
   }
   [[nodiscard]] std::string string_or(std::string fallback) const {
     return kind == Kind::kString ? string : std::move(fallback);
+  }
+  [[nodiscard]] bool bool_or(bool fallback) const {
+    return kind == Kind::kBool ? boolean : fallback;
+  }
+
+  /// Typed member readers: the member's value, or `fallback` when the
+  /// member is absent or of another kind.
+  [[nodiscard]] double number_field(const std::string& key,
+                                    double fallback = 0.0) const {
+    const JsonValue* v = find(key);
+    return v != nullptr ? v->number_or(fallback) : fallback;
+  }
+  [[nodiscard]] std::int64_t int_field(const std::string& key,
+                                       std::int64_t fallback = 0) const {
+    const JsonValue* v = find(key);
+    return v != nullptr ? v->int_or(fallback) : fallback;
+  }
+  [[nodiscard]] std::string string_field(const std::string& key,
+                                         std::string fallback = "") const {
+    const JsonValue* v = find(key);
+    return v != nullptr ? v->string_or(std::move(fallback))
+                        : std::move(fallback);
+  }
+  [[nodiscard]] bool bool_field(const std::string& key,
+                                bool fallback = false) const {
+    const JsonValue* v = find(key);
+    return v != nullptr ? v->bool_or(fallback) : fallback;
+  }
+  /// The member's elements; empty when absent or not an array.
+  [[nodiscard]] const std::vector<JsonValue>& array_field(
+      const std::string& key) const {
+    static const std::vector<JsonValue> kEmpty;
+    const JsonValue* v = find(key);
+    return v != nullptr && v->kind == Kind::kArray ? v->array : kEmpty;
   }
 };
 
@@ -93,9 +161,17 @@ class JsonParser {
     char* end = nullptr;
     const double v = std::strtod(begin, &end);
     if (end == begin) return error("malformed number");
-    pos_ += static_cast<std::size_t>(end - begin);
     out->kind = JsonValue::Kind::kNumber;
     out->number = v;
+    const std::string_view token(begin, static_cast<std::size_t>(end - begin));
+    if (token.find_first_of(".eE") == std::string_view::npos) {
+      errno = 0;
+      char* int_end = nullptr;
+      const long long i = std::strtoll(begin, &int_end, 10);
+      out->is_integer = errno == 0 && int_end == end;
+      out->integer = i;
+    }
+    pos_ += static_cast<std::size_t>(end - begin);
     return Status::ok();
   }
 
@@ -211,7 +287,7 @@ class JsonParser {
 };
 
 /// Escapes and quotes `s` as a JSON string into `os`.
-inline void write_string(std::ostream& os, const std::string& s) {
+inline void write_string(std::ostream& os, std::string_view s) {
   os << '"';
   for (const char c : s) {
     switch (c) {
@@ -231,6 +307,41 @@ inline void write_string(std::ostream& os, const std::string& s) {
     }
   }
   os << '"';
+}
+
+/// Writes `v` under the number policy above: %.17g when finite, else the
+/// quoted "nan", "inf" or "-inf".
+inline void write_number(std::ostream& os, double v) {
+  if (std::isnan(v)) {
+    os << "\"nan\"";
+  } else if (std::isinf(v)) {
+    os << (v > 0 ? "\"inf\"" : "\"-inf\"");
+  } else {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    os << buf;
+  }
+}
+
+/// The current UTC time in ISO 8601: "2026-08-06T12:00:00Z", or with
+/// `millis` "2026-08-06T12:00:00.123Z" (log records need sub-second order).
+inline std::string utc_now_iso8601(bool millis = false) {
+  const auto now = std::chrono::system_clock::now();
+  const std::time_t secs = std::chrono::system_clock::to_time_t(now);
+  std::tm tm{};
+  gmtime_r(&secs, &tm);
+  char buf[40];
+  std::size_t n = std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%S", &tm);
+  if (millis) {
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        now.time_since_epoch())
+                        .count() %
+                    1000;
+    n += static_cast<std::size_t>(std::snprintf(
+        buf + n, sizeof(buf) - n, ".%03d", static_cast<int>(ms)));
+  }
+  std::snprintf(buf + n, sizeof(buf) - n, "Z");
+  return buf;
 }
 
 }  // namespace gridsec::obs::json

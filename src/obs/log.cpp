@@ -1,40 +1,17 @@
 #include "gridsec/obs/log.hpp"
 
 #include <atomic>
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <deque>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "gridsec/obs/metrics.hpp"
 #include "json.hpp"
 
 namespace gridsec::obs {
 namespace {
-
-// Millisecond-resolution UTC timestamp; the report manifest uses seconds,
-// but log records need sub-second ordering within one solve.
-std::string utc_now_iso8601_ms() {
-  const auto now = std::chrono::system_clock::now();
-  const std::time_t secs = std::chrono::system_clock::to_time_t(now);
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      now.time_since_epoch())
-                      .count() %
-                  1000;
-  std::tm tm{};
-  gmtime_r(&secs, &tm);
-  char buf[40];
-  const std::size_t n =
-      std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%S", &tm);
-  std::snprintf(buf + n, sizeof(buf) - n, ".%03dZ", static_cast<int>(ms));
-  return buf;
-}
 
 LogLevel level_from_env_or(LogLevel fallback) {
   const char* env = std::getenv("GRIDSEC_LOG_LEVEL");
@@ -55,9 +32,7 @@ struct LoggerState {
 
   std::mutex mu;
   std::deque<std::string> ring;  // oldest first, bounded by ring capacity
-  std::uint64_t emitted = 0;
   bool stderr_sink;
-  std::ofstream file_sink;
 
   LoggerState()
       : threshold(static_cast<int>(level_from_env_or(LogLevel::kInfo))),
@@ -116,29 +91,6 @@ LogLevel Logger::level() {
       state().threshold.load(std::memory_order_relaxed));
 }
 
-void Logger::set_stderr_sink(bool enabled) {
-  LoggerState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  s.stderr_sink = enabled;
-}
-
-bool Logger::open_file_sink(const std::string& path) {
-  LoggerState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  s.file_sink.close();
-  s.file_sink.clear();
-  if (path.empty()) return true;
-  s.file_sink.open(path, std::ios::out | std::ios::trunc);
-  return s.file_sink.is_open();
-}
-
-void Logger::close_file_sink() {
-  LoggerState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  s.file_sink.close();
-  s.file_sink.clear();
-}
-
 std::vector<std::string> Logger::tail(std::size_t max_records) {
   LoggerState& s = state();
   const std::lock_guard<std::mutex> lock(s.mu);
@@ -146,12 +98,6 @@ std::vector<std::string> Logger::tail(std::size_t max_records) {
   if (max_records != 0 && max_records < n) n = max_records;
   return std::vector<std::string>(s.ring.end() - static_cast<long>(n),
                                   s.ring.end());
-}
-
-std::uint64_t Logger::records_emitted() {
-  LoggerState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  return s.emitted;
 }
 
 void Logger::reset_ring() {
@@ -168,9 +114,7 @@ void Logger::emit(LogLevel level, std::string line) {
 
   LoggerState& s = state();
   const std::lock_guard<std::mutex> lock(s.mu);
-  ++s.emitted;
   if (s.stderr_sink) std::cerr << line << '\n';
-  if (s.file_sink.is_open()) s.file_sink << line << '\n' << std::flush;
   s.ring.push_back(std::move(line));
   while (s.ring.size() > kDefaultRingCapacity) s.ring.pop_front();
 }
@@ -178,9 +122,10 @@ void Logger::emit(LogLevel level, std::string line) {
 LogEvent::LogEvent(LogLevel level, std::string_view component)
     : level_(level) {
   std::ostringstream os;
-  os << "{\"ts\":\"" << utc_now_iso8601_ms() << "\",\"level\":\""
+  os << "{\"ts\":\"" << json::utc_now_iso8601(/*millis=*/true)
+     << "\",\"level\":\""
      << to_string(level) << "\",\"component\":";
-  json::write_string(os, std::string(component));
+  json::write_string(os, component);
   line_ = os.str();
 }
 
@@ -198,26 +143,19 @@ LogEvent::~LogEvent() {
 LogEvent& LogEvent::field(std::string_view key, std::string_view value) {
   std::ostringstream os;
   os << ',';
-  json::write_string(os, std::string(key));
+  json::write_string(os, key);
   os << ':';
-  json::write_string(os, std::string(value));
+  json::write_string(os, value);
   line_ += os.str();
   return *this;
 }
 
 LogEvent& LogEvent::field(std::string_view key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
   std::ostringstream os;
   os << ',';
-  json::write_string(os, std::string(key));
-  // JSON has no NaN/Inf literals; quote them so records stay parseable.
-  if (value != value || value > 1.7976931348623157e308 ||
-      value < -1.7976931348623157e308) {
-    os << ":\"" << buf << '"';
-  } else {
-    os << ':' << buf;
-  }
+  json::write_string(os, key);
+  os << ':';
+  json::write_number(os, value);
   line_ += os.str();
   return *this;
 }
@@ -225,7 +163,7 @@ LogEvent& LogEvent::field(std::string_view key, double value) {
 LogEvent& LogEvent::int_field(std::string_view key, std::int64_t value) {
   std::ostringstream os;
   os << ',';
-  json::write_string(os, std::string(key));
+  json::write_string(os, key);
   os << ':' << value;
   line_ += os.str();
   return *this;
@@ -234,7 +172,7 @@ LogEvent& LogEvent::int_field(std::string_view key, std::int64_t value) {
 LogEvent& LogEvent::uint_field(std::string_view key, std::uint64_t value) {
   std::ostringstream os;
   os << ',';
-  json::write_string(os, std::string(key));
+  json::write_string(os, key);
   os << ':' << value;
   line_ += os.str();
   return *this;
@@ -243,7 +181,7 @@ LogEvent& LogEvent::uint_field(std::string_view key, std::uint64_t value) {
 LogEvent& LogEvent::field(std::string_view key, bool value) {
   std::ostringstream os;
   os << ',';
-  json::write_string(os, std::string(key));
+  json::write_string(os, key);
   os << ':' << (value ? "true" : "false");
   line_ += os.str();
   return *this;

@@ -96,11 +96,6 @@ namespace {
 
 using json::JsonValue;
 
-std::int64_t node_i64(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr ? static_cast<std::int64_t>(v->number_or(0.0)) : 0;
-}
-
 Status parse_node(const JsonValue& jn, ProfileNode* out) {
   if (jn.kind != JsonValue::Kind::kObject) {
     return Status::invalid_argument("profile: tree node is not an object");
@@ -110,20 +105,18 @@ Status parse_node(const JsonValue& jn, ProfileNode* out) {
     return Status::invalid_argument("profile: tree node without a name");
   }
   out->name = name->string;
-  out->count = node_i64(jn, "count");
-  out->wall_ns = node_i64(jn, "wall_ns");
-  out->cpu_ns = node_i64(jn, "cpu_ns");
-  out->excl_wall_ns = node_i64(jn, "excl_wall_ns");
-  out->excl_cpu_ns = node_i64(jn, "excl_cpu_ns");
-  out->alloc_count = node_i64(jn, "alloc_count");
-  out->alloc_bytes = node_i64(jn, "alloc_bytes");
-  if (const JsonValue* children = jn.find("children");
-      children != nullptr && children->kind == JsonValue::Kind::kArray) {
-    out->children.resize(children->array.size());
-    for (std::size_t i = 0; i < children->array.size(); ++i) {
-      const Status st = parse_node(children->array[i], &out->children[i]);
-      if (!st.is_ok()) return st;
-    }
+  out->count = jn.int_field("count");
+  out->wall_ns = jn.int_field("wall_ns");
+  out->cpu_ns = jn.int_field("cpu_ns");
+  out->excl_wall_ns = jn.int_field("excl_wall_ns");
+  out->excl_cpu_ns = jn.int_field("excl_cpu_ns");
+  out->alloc_count = jn.int_field("alloc_count");
+  out->alloc_bytes = jn.int_field("alloc_bytes");
+  const std::vector<JsonValue>& children = jn.array_field("children");
+  out->children.resize(children.size());
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    const Status st = parse_node(children[i], &out->children[i]);
+    if (!st.is_ok()) return st;
   }
   return Status::ok();
 }
@@ -138,31 +131,26 @@ StatusOr<Profile> parse_profile(const std::string& json_text) {
     return Status::invalid_argument(
         "profile: top-level value is not an object");
   }
-  const JsonValue* schema = root->find("schema");
-  if (schema == nullptr || schema->string_or("") != kProfileSchemaName) {
+  if (root->string_field("schema") != kProfileSchemaName) {
     return Status::invalid_argument(
         "profile: missing or wrong \"schema\" (want gridsec.profile)");
   }
-  const JsonValue* version = root->find("schema_version");
-  if (version == nullptr ||
-      static_cast<int>(version->number_or(-1)) != kProfileSchemaVersion) {
+  if (root->int_field("schema_version", -1) != kProfileSchemaVersion) {
     return Status::invalid_argument(
         "profile: unsupported schema_version (want " +
         std::to_string(kProfileSchemaVersion) + ")");
   }
   Profile p;
-  p.threads = node_i64(*root, "threads");
-  if (const JsonValue* alloc = root->find("alloc");
-      alloc != nullptr && alloc->kind == JsonValue::Kind::kObject) {
-    p.alloc.count = node_i64(*alloc, "count");
-    p.alloc.bytes = node_i64(*alloc, "bytes");
-    p.alloc.live_bytes = node_i64(*alloc, "live_bytes");
-    p.alloc.peak_bytes = node_i64(*alloc, "peak_bytes");
+  p.threads = root->int_field("threads");
+  if (const JsonValue* alloc = root->find("alloc")) {
+    p.alloc.count = alloc->int_field("count");
+    p.alloc.bytes = alloc->int_field("bytes");
+    p.alloc.live_bytes = alloc->int_field("live_bytes");
+    p.alloc.peak_bytes = alloc->int_field("peak_bytes");
   }
-  if (const JsonValue* pool = root->find("pool");
-      pool != nullptr && pool->kind == JsonValue::Kind::kObject) {
-    p.pool_busy_ns = node_i64(*pool, "busy_ns");
-    p.pool_idle_ns = node_i64(*pool, "idle_ns");
+  if (const JsonValue* pool = root->find("pool")) {
+    p.pool_busy_ns = pool->int_field("busy_ns");
+    p.pool_idle_ns = pool->int_field("idle_ns");
   }
   const JsonValue* tree = root->find("tree");
   if (tree == nullptr) {

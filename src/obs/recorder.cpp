@@ -23,6 +23,7 @@
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/prof.hpp"
 #include "gridsec/obs/trace.hpp"
+#include "json.hpp"
 
 namespace gridsec::obs {
 
@@ -353,8 +354,10 @@ void Tracer::write_chrome_json(std::ostream& os) {
       first = false;
       const std::uint64_t ts_us = (e.open_ns - epoch_ns) / 1000;
       const std::uint64_t dur_us = (e.close_ns - e.open_ns) / 1000;
-      os << "{\"name\":\"" << e.name << "\",\"cat\":\"gridsec\","
-         << "\"ph\":\"X\",\"ts\":" << ts_us << ",\"dur\":" << dur_us
+      os << "{\"name\":";
+      json::write_string(os, e.name);
+      os << ",\"cat\":\"gridsec\",\"ph\":\"X\",\"ts\":" << ts_us
+         << ",\"dur\":" << dur_us
          << ",\"pid\":1,\"tid\":" << s.tid << '}';
     }
   });

@@ -3,15 +3,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <ostream>
-#include <sstream>
 #include <thread>
 
 #include "gridsec/obs/metrics.hpp"
@@ -52,29 +47,10 @@ std::string current_hostname() {
   return env != nullptr ? env : "unknown";
 }
 
-std::string utc_now_iso8601() {
-  const std::time_t now =
-      std::chrono::system_clock::to_time_t(std::chrono::system_clock::now());
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  json::write_string(os, s);
-}
-
-void write_json_double(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << (v > 0 ? "1e308" : "-1e308");
-  }
-}
-
 }  // namespace
+
+using json::write_number;
+using json::write_string;
 
 RunManifest RunManifest::capture(std::string tool, int argc,
                                  const char* const* argv) {
@@ -89,7 +65,7 @@ RunManifest RunManifest::capture(std::string tool, int argc,
   m.hostname = current_hostname();
   m.hardware_threads = std::max(1u, std::thread::hardware_concurrency());
   m.threads = m.hardware_threads;
-  m.start_time_utc = utc_now_iso8601();
+  m.start_time_utc = json::utc_now_iso8601();
   for (int i = 1; i < argc; ++i) m.args.emplace_back(argv[i]);
   return m;
 }
@@ -133,55 +109,55 @@ void RunReport::write_json(std::ostream& os,
   os << "{\"schema\":\"" << kReportSchemaName
      << "\",\"schema_version\":" << schema_version << ",\"manifest\":{";
   os << "\"tool\":";
-  write_json_string(os, manifest.tool);
+  write_string(os, manifest.tool);
   os << ",\"git_sha\":";
-  write_json_string(os, manifest.git_sha);
+  write_string(os, manifest.git_sha);
   os << ",\"build_type\":";
-  write_json_string(os, manifest.build_type);
+  write_string(os, manifest.build_type);
   os << ",\"compiler\":";
-  write_json_string(os, manifest.compiler);
+  write_string(os, manifest.compiler);
   os << ",\"cxx_flags\":";
-  write_json_string(os, manifest.cxx_flags);
+  write_string(os, manifest.cxx_flags);
   os << ",\"hostname\":";
-  write_json_string(os, manifest.hostname);
+  write_string(os, manifest.hostname);
   os << ",\"hardware_threads\":" << manifest.hardware_threads
      << ",\"threads\":" << manifest.threads << ",\"seed\":" << manifest.seed
      << ",\"trials\":" << manifest.trials << ",\"args\":[";
   for (std::size_t i = 0; i < manifest.args.size(); ++i) {
     if (i != 0) os << ',';
-    write_json_string(os, manifest.args[i]);
+    write_string(os, manifest.args[i]);
   }
   os << "],\"start_time_utc\":";
-  write_json_string(os, manifest.start_time_utc);
+  write_string(os, manifest.start_time_utc);
   os << ",\"wall_time_seconds\":";
-  write_json_double(os, manifest.wall_time_seconds);
+  write_number(os, manifest.wall_time_seconds);
   os << "},\"cases\":[";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const CaseResult& c = cases[i];
     if (i != 0) os << ',';
     os << "{\"name\":";
-    write_json_string(os, c.name);
+    write_string(os, c.name);
     os << ",\"reps\":" << c.wall.reps << ",\"warmup\":" << c.wall.warmup
        << ",\"wall_seconds\":{\"min\":";
-    write_json_double(os, c.wall.min_seconds);
+    write_number(os, c.wall.min_seconds);
     os << ",\"median\":";
-    write_json_double(os, c.wall.median_seconds);
+    write_number(os, c.wall.median_seconds);
     os << ",\"mean\":";
-    write_json_double(os, c.wall.mean_seconds);
+    write_number(os, c.wall.mean_seconds);
     os << ",\"stddev\":";
-    write_json_double(os, c.wall.stddev_seconds);
+    write_number(os, c.wall.stddev_seconds);
     os << ",\"max\":";
-    write_json_double(os, c.wall.max_seconds);
+    write_number(os, c.wall.max_seconds);
     os << ",\"total\":";
-    write_json_double(os, c.wall.total_seconds);
+    write_number(os, c.wall.total_seconds);
     os << "},\"metrics\":{";
     bool first = true;
     for (const auto& [metric, delta] : c.metrics) {
       if (!first) os << ',';
       first = false;
-      write_json_string(os, metric);
+      write_string(os, metric);
       os << ":{\"total\":" << delta.total << ",\"per_rep\":";
-      write_json_double(os, delta.per_rep);
+      write_number(os, delta.per_rep);
       os << '}';
     }
     os << "}}";
@@ -209,14 +185,11 @@ StatusOr<RunReport> parse_report(const std::string& json_text) {
   if (root->kind != JsonValue::Kind::kObject) {
     return Status::invalid_argument("report: top-level value is not an object");
   }
-  const JsonValue* schema = root->find("schema");
-  if (schema == nullptr || schema->string_or("") != kReportSchemaName) {
+  if (root->string_field("schema") != kReportSchemaName) {
     return Status::invalid_argument(
         "report: missing or wrong \"schema\" (want gridsec.bench_report)");
   }
-  const JsonValue* version = root->find("schema_version");
-  if (version == nullptr ||
-      static_cast<int>(version->number_or(-1)) != kReportSchemaVersion) {
+  if (root->int_field("schema_version", -1) != kReportSchemaVersion) {
     return Status::invalid_argument(
         "report: unsupported schema_version (want " +
         std::to_string(kReportSchemaVersion) + ")");
@@ -230,29 +203,21 @@ StatusOr<RunReport> parse_report(const std::string& json_text) {
     return Status::invalid_argument("report: missing \"manifest\" object");
   }
   RunManifest& m = report.manifest;
-  const auto man_str = [&](const char* key) {
-    const JsonValue* v = manifest->find(key);
-    return v != nullptr ? v->string_or("") : std::string();
-  };
-  const auto man_num = [&](const char* key) {
-    const JsonValue* v = manifest->find(key);
-    return v != nullptr ? v->number_or(0.0) : 0.0;
-  };
-  m.tool = man_str("tool");
-  m.git_sha = man_str("git_sha");
-  m.build_type = man_str("build_type");
-  m.compiler = man_str("compiler");
-  m.cxx_flags = man_str("cxx_flags");
-  m.hostname = man_str("hostname");
-  m.hardware_threads = static_cast<unsigned>(man_num("hardware_threads"));
-  m.threads = static_cast<std::size_t>(man_num("threads"));
-  m.seed = static_cast<std::uint64_t>(man_num("seed"));
-  m.trials = static_cast<int>(man_num("trials"));
-  m.start_time_utc = man_str("start_time_utc");
-  m.wall_time_seconds = man_num("wall_time_seconds");
-  if (const JsonValue* args = manifest->find("args");
-      args != nullptr && args->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& a : args->array) m.args.push_back(a.string_or(""));
+  m.tool = manifest->string_field("tool");
+  m.git_sha = manifest->string_field("git_sha");
+  m.build_type = manifest->string_field("build_type");
+  m.compiler = manifest->string_field("compiler");
+  m.cxx_flags = manifest->string_field("cxx_flags");
+  m.hostname = manifest->string_field("hostname");
+  m.hardware_threads =
+      static_cast<unsigned>(manifest->int_field("hardware_threads"));
+  m.threads = static_cast<std::size_t>(manifest->int_field("threads"));
+  m.seed = static_cast<std::uint64_t>(manifest->int_field("seed"));
+  m.trials = static_cast<int>(manifest->int_field("trials"));
+  m.start_time_utc = manifest->string_field("start_time_utc");
+  m.wall_time_seconds = manifest->number_field("wall_time_seconds");
+  for (const JsonValue& a : manifest->array_field("args")) {
+    m.args.push_back(a.string_or(""));
   }
 
   const JsonValue* cases = root->find("cases");
@@ -269,34 +234,20 @@ StatusOr<RunReport> parse_report(const std::string& json_text) {
       return Status::invalid_argument("report: case without a name");
     }
     c.name = name->string;
-    c.wall.reps = static_cast<int>(
-        jc.find("reps") != nullptr ? jc.find("reps")->number_or(0) : 0);
-    c.wall.warmup = static_cast<int>(
-        jc.find("warmup") != nullptr ? jc.find("warmup")->number_or(0) : 0);
-    if (const JsonValue* wall = jc.find("wall_seconds");
-        wall != nullptr && wall->kind == JsonValue::Kind::kObject) {
-      const auto wall_num = [&](const char* key) {
-        const JsonValue* v = wall->find(key);
-        return v != nullptr ? v->number_or(0.0) : 0.0;
-      };
-      c.wall.min_seconds = wall_num("min");
-      c.wall.median_seconds = wall_num("median");
-      c.wall.mean_seconds = wall_num("mean");
-      c.wall.stddev_seconds = wall_num("stddev");
-      c.wall.max_seconds = wall_num("max");
-      c.wall.total_seconds = wall_num("total");
+    c.wall.reps = static_cast<int>(jc.int_field("reps"));
+    c.wall.warmup = static_cast<int>(jc.int_field("warmup"));
+    if (const JsonValue* wall = jc.find("wall_seconds")) {
+      c.wall.min_seconds = wall->number_field("min");
+      c.wall.median_seconds = wall->number_field("median");
+      c.wall.mean_seconds = wall->number_field("mean");
+      c.wall.stddev_seconds = wall->number_field("stddev");
+      c.wall.max_seconds = wall->number_field("max");
+      c.wall.total_seconds = wall->number_field("total");
     }
-    if (const JsonValue* metrics = jc.find("metrics");
-        metrics != nullptr && metrics->kind == JsonValue::Kind::kObject) {
+    if (const JsonValue* metrics = jc.find("metrics")) {
       for (const auto& [metric, jm] : metrics->object) {
-        MetricDelta d;
-        if (const JsonValue* total = jm.find("total")) {
-          d.total = static_cast<std::int64_t>(total->number_or(0.0));
-        }
-        if (const JsonValue* per_rep = jm.find("per_rep")) {
-          d.per_rep = per_rep->number_or(0.0);
-        }
-        c.metrics.emplace(metric, d);
+        c.metrics.emplace(metric, MetricDelta{jm.int_field("total"),
+                                              jm.number_field("per_rep")});
       }
     }
     report.cases.push_back(std::move(c));
@@ -310,23 +261,10 @@ StatusOr<RunReport> parse_report(const std::string& json_text) {
 
 namespace {
 
-bool has_ignored_prefix(const std::string& name,
-                        const std::vector<std::string>& prefixes) {
-  for (const std::string& p : prefixes) {
-    if (!p.empty() && name.compare(0, p.size(), p) == 0) return true;
-  }
-  return false;
-}
-
-bool has_time_suffix(const std::string& name,
-                     const std::vector<std::string>& suffixes) {
-  for (const std::string& s : suffixes) {
-    if (!s.empty() && name.size() >= s.size() &&
-        name.compare(name.size() - s.size(), s.size(), s) == 0) {
-      return true;
-    }
-  }
-  return false;
+bool has_time_suffix(const std::string& name) {
+  const std::size_t n = std::strlen(kDiffTimeSuffix);
+  return name.size() >= n &&
+         name.compare(name.size() - n, n, kDiffTimeSuffix) == 0;
 }
 
 double relative_change(double baseline, double current) {
@@ -336,8 +274,7 @@ double relative_change(double baseline, double current) {
 
 }  // namespace
 
-DiffReport diff_reports(const RunReport& baseline, const RunReport& current,
-                        const DiffOptions& options) {
+DiffReport diff_reports(const RunReport& baseline, const RunReport& current) {
   DiffReport out;
   std::map<std::string, const CaseResult*> current_by_name;
   for (const CaseResult& c : current.cases) current_by_name[c.name] = &c;
@@ -356,24 +293,13 @@ DiffReport diff_reports(const RunReport& baseline, const RunReport& current,
     }
     const CaseResult& cur_case = *found->second;
 
-    // Wall time: always reported, gated only when opted in.
-    {
-      DiffRow row;
-      row.case_name = base_case.name;
-      row.quantity = "wall.median";
-      row.baseline = base_case.wall.median_seconds;
-      row.current = cur_case.wall.median_seconds;
-      row.rel_change = relative_change(row.baseline, row.current);
-      if (options.wall_rel_threshold > 0.0 &&
-          row.rel_change > options.wall_rel_threshold) {
-        row.verdict = DiffVerdict::kRegression;
-        row.note = "median wall time regressed";
-      } else if (options.wall_rel_threshold <= 0.0) {
-        row.verdict = DiffVerdict::kInfo;
-        row.note = "wall time not gated";
-      }
-      push(std::move(row));
-    }
+    // Wall time: reported, never gated (baselines come from other
+    // hardware; the counters are the deterministic gate).
+    push({base_case.name, "wall.median", base_case.wall.median_seconds,
+          cur_case.wall.median_seconds,
+          relative_change(base_case.wall.median_seconds,
+                          cur_case.wall.median_seconds),
+          DiffVerdict::kInfo, "wall time not gated"});
 
     for (const auto& [metric, base_delta] : base_case.metrics) {
       DiffRow row;
@@ -381,14 +307,13 @@ DiffReport diff_reports(const RunReport& baseline, const RunReport& current,
       row.quantity = metric;
       row.baseline = base_delta.per_rep;
       const auto cur_metric = cur_case.metrics.find(metric);
-      const bool time_metric = has_time_suffix(metric, options.time_suffixes);
-      if (time_metric || has_ignored_prefix(metric, options.ignore_prefixes)) {
+      if (has_time_suffix(metric)) {
         row.current = cur_metric != cur_case.metrics.end()
                           ? cur_metric->second.per_rep
                           : 0.0;
         row.rel_change = relative_change(row.baseline, row.current);
         row.verdict = DiffVerdict::kInfo;
-        row.note = time_metric ? "time metric (not gated)" : "ignored prefix";
+        row.note = "time metric (not gated)";
         push(std::move(row));
         continue;
       }
@@ -401,8 +326,8 @@ DiffReport diff_reports(const RunReport& baseline, const RunReport& current,
       row.current = cur_metric->second.per_rep;
       row.rel_change = relative_change(row.baseline, row.current);
       const double abs_change = row.current - row.baseline;
-      if (row.rel_change > options.metric_rel_threshold &&
-          abs_change > options.metric_abs_slack) {
+      if (row.rel_change > kDiffMetricRelThreshold &&
+          abs_change > kDiffMetricAbsSlack) {
         row.verdict = DiffVerdict::kRegression;
         row.note = "metric regressed past threshold";
       }

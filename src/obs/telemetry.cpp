@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -27,18 +25,6 @@ std::uint64_t mono_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Round-trip-exact double formatting for the timeseries artifact (JSON
-/// has no infinities; clamp like metrics.cpp does).
-void write_double(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << (v > 0 ? "1e308" : "-1e308");
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
 }
 
 Counter& stalls_counter() {
@@ -197,17 +183,6 @@ std::int64_t Progress::done() const {
 }
 
 // ---------------------------------------------------------------------------
-// Build provenance.
-
-const BuildInfo& current_build_info() {
-  static const BuildInfo* info = [] {
-    const RunManifest m = RunManifest::capture("", 0, nullptr);
-    return new BuildInfo{m.git_sha, m.build_type, m.compiler};
-  }();
-  return *info;
-}
-
-// ---------------------------------------------------------------------------
 // Timeseries artifact.
 
 namespace {
@@ -217,17 +192,17 @@ void write_progress_json(std::ostream& os, const ProgressSnapshot& p) {
   json::write_string(os, p.name);
   os << ",\"total\":" << p.total << ",\"done\":" << p.done
      << ",\"elapsed_seconds\":";
-  write_double(os, p.elapsed_seconds);
+  json::write_number(os, p.elapsed_seconds);
   os << ",\"rate_per_second\":";
-  write_double(os, p.rate_per_second);
+  json::write_number(os, p.rate_per_second);
   os << ",\"eta_seconds\":";
-  write_double(os, p.eta_seconds);
+  json::write_number(os, p.eta_seconds);
   os << ",\"stalled\":" << (p.stalled ? "true" : "false") << '}';
 }
 
 void write_sample_json(std::ostream& os, const TelemetrySample& s) {
   os << "{\"t_seconds\":";
-  write_double(os, s.t_seconds);
+  json::write_number(os, s.t_seconds);
   os << ",\"counters\":{";
   bool first = true;
   for (const auto& [name, v] : s.counters) {
@@ -243,7 +218,7 @@ void write_sample_json(std::ostream& os, const TelemetrySample& s) {
     first = false;
     json::write_string(os, name);
     os << ':';
-    write_double(os, v);
+    json::write_number(os, v);
   }
   os << "},\"workers\":[";
   first = true;
@@ -273,13 +248,13 @@ void write_timeseries_json(std::ostream& os, const Timeseries& ts) {
      << ",\"start_time_utc\":";
   json::write_string(os, ts.start_time_utc);
   os << ",\"cadence_ms\":";
-  write_double(os, ts.cadence_ms);
+  json::write_number(os, ts.cadence_ms);
   os << ",\"dropped\":" << ts.dropped << ",\"build\":{\"git_sha\":";
-  json::write_string(os, ts.build.git_sha);
+  json::write_string(os, ts.git_sha);
   os << ",\"build_type\":";
-  json::write_string(os, ts.build.build_type);
+  json::write_string(os, ts.build_type);
   os << ",\"compiler\":";
-  json::write_string(os, ts.build.compiler);
+  json::write_string(os, ts.compiler);
   os << "},\"samples\":[";
   bool first = true;
   for (const auto& s : ts.samples) {
@@ -290,54 +265,7 @@ void write_timeseries_json(std::ostream& os, const Timeseries& ts) {
   os << "]}\n";
 }
 
-void write_timeseries_csv(std::ostream& os, const Timeseries& ts) {
-  os << "t_seconds,kind,name,value\n";
-  for (const auto& s : ts.samples) {
-    char t[40];
-    std::snprintf(t, sizeof(t), "%.6f", s.t_seconds);
-    for (const auto& [name, v] : s.counters) {
-      os << t << ",counter," << name << ',' << v << '\n';
-    }
-    for (const auto& [name, v] : s.gauges) {
-      os << t << ",gauge," << name << ',';
-      write_double(os, v);
-      os << '\n';
-    }
-    for (const auto& w : s.workers) {
-      os << t << ",worker_busy_ns,pool" << w.pool << ".w" << w.worker << ','
-         << w.busy_ns << '\n';
-      os << t << ",worker_idle_ns,pool" << w.pool << ".w" << w.worker << ','
-         << w.idle_ns << '\n';
-      os << t << ",worker_tasks,pool" << w.pool << ".w" << w.worker << ','
-         << w.tasks << '\n';
-    }
-    for (const auto& p : s.progress) {
-      os << t << ",progress_done," << p.name << ',' << p.done << '\n';
-      os << t << ",progress_total," << p.name << ',' << p.total << '\n';
-    }
-  }
-}
-
-namespace {
-
 using json::JsonValue;
-
-std::int64_t int_or(const JsonValue* v, std::int64_t fallback) {
-  return v != nullptr && v->kind == JsonValue::Kind::kNumber
-             ? static_cast<std::int64_t>(v->number)
-             : fallback;
-}
-
-double num_or(const JsonValue* v, double fallback) {
-  return v != nullptr ? v->number_or(fallback) : fallback;
-}
-
-std::string str_or(const JsonValue* v, std::string fallback) {
-  return v != nullptr ? v->string_or(std::move(fallback))
-                      : std::move(fallback);
-}
-
-}  // namespace
 
 StatusOr<Timeseries> parse_timeseries(const std::string& json_text) {
   json::JsonParser parser(json_text);
@@ -347,26 +275,26 @@ StatusOr<Timeseries> parse_timeseries(const std::string& json_text) {
   if (root.kind != JsonValue::Kind::kObject) {
     return Status::invalid_argument("timeseries: root is not an object");
   }
-  const std::string schema = str_or(root.find("schema"), "");
+  const std::string schema = root.string_field("schema");
   if (schema != kTimeseriesSchemaName) {
     return Status::invalid_argument("timeseries: schema is '" + schema +
                                     "', expected '" + kTimeseriesSchemaName +
                                     "'");
   }
-  const auto version = int_or(root.find("schema_version"), -1);
+  const auto version = root.int_field("schema_version", -1);
   if (version != kTimeseriesSchemaVersion) {
     return Status::invalid_argument(
         "timeseries: unsupported schema_version " + std::to_string(version));
   }
   Timeseries ts;
   ts.schema_version = static_cast<int>(version);
-  ts.start_time_utc = str_or(root.find("start_time_utc"), "");
-  ts.cadence_ms = num_or(root.find("cadence_ms"), 0.0);
-  ts.dropped = static_cast<std::uint64_t>(int_or(root.find("dropped"), 0));
+  ts.start_time_utc = root.string_field("start_time_utc");
+  ts.cadence_ms = root.number_field("cadence_ms");
+  ts.dropped = static_cast<std::uint64_t>(root.int_field("dropped"));
   if (const JsonValue* build = root.find("build")) {
-    ts.build.git_sha = str_or(build->find("git_sha"), "");
-    ts.build.build_type = str_or(build->find("build_type"), "");
-    ts.build.compiler = str_or(build->find("compiler"), "");
+    ts.git_sha = build->string_field("git_sha");
+    ts.build_type = build->string_field("build_type");
+    ts.compiler = build->string_field("compiler");
   }
   const JsonValue* samples = root.find("samples");
   if (samples == nullptr || samples->kind != JsonValue::Kind::kArray) {
@@ -378,10 +306,10 @@ StatusOr<Timeseries> parse_timeseries(const std::string& json_text) {
       return Status::invalid_argument("timeseries: sample is not an object");
     }
     TelemetrySample s;
-    s.t_seconds = num_or(sv.find("t_seconds"), 0.0);
+    s.t_seconds = sv.number_field("t_seconds");
     if (const JsonValue* counters = sv.find("counters")) {
       for (const auto& [name, v] : counters->object) {
-        s.counters[name] = static_cast<std::int64_t>(v.number_or(0.0));
+        s.counters[name] = v.int_or(0);
       }
     }
     if (const JsonValue* gauges = sv.find("gauges")) {
@@ -389,30 +317,22 @@ StatusOr<Timeseries> parse_timeseries(const std::string& json_text) {
         s.gauges[name] = v.number_or(0.0);
       }
     }
-    if (const JsonValue* workers = sv.find("workers")) {
-      for (const JsonValue& wv : workers->array) {
-        WorkerSample w;
-        w.pool = static_cast<int>(int_or(wv.find("pool"), 0));
-        w.worker = static_cast<int>(int_or(wv.find("worker"), 0));
-        w.busy_ns = int_or(wv.find("busy_ns"), 0);
-        w.idle_ns = int_or(wv.find("idle_ns"), 0);
-        w.tasks = int_or(wv.find("tasks"), 0);
-        s.workers.push_back(w);
-      }
+    for (const JsonValue& wv : sv.array_field("workers")) {
+      s.workers.push_back({static_cast<int>(wv.int_field("pool")),
+                           static_cast<int>(wv.int_field("worker")),
+                           wv.int_field("busy_ns"), wv.int_field("idle_ns"),
+                           wv.int_field("tasks")});
     }
-    if (const JsonValue* progress = sv.find("progress")) {
-      for (const JsonValue& pv : progress->array) {
-        ProgressSnapshot p;
-        p.name = str_or(pv.find("name"), "");
-        p.total = int_or(pv.find("total"), 0);
-        p.done = int_or(pv.find("done"), 0);
-        p.elapsed_seconds = num_or(pv.find("elapsed_seconds"), 0.0);
-        p.rate_per_second = num_or(pv.find("rate_per_second"), 0.0);
-        p.eta_seconds = num_or(pv.find("eta_seconds"), -1.0);
-        const JsonValue* stalled = pv.find("stalled");
-        p.stalled = stalled != nullptr && stalled->boolean;
-        s.progress.push_back(std::move(p));
-      }
+    for (const JsonValue& pv : sv.array_field("progress")) {
+      ProgressSnapshot p;
+      p.name = pv.string_field("name");
+      p.total = pv.int_field("total");
+      p.done = pv.int_field("done");
+      p.elapsed_seconds = pv.number_field("elapsed_seconds");
+      p.rate_per_second = pv.number_field("rate_per_second");
+      p.eta_seconds = pv.number_field("eta_seconds", -1.0);
+      p.stalled = pv.bool_field("stalled");
+      s.progress.push_back(std::move(p));
     }
     ts.samples.push_back(std::move(s));
   }
@@ -425,7 +345,7 @@ StatusOr<Timeseries> parse_timeseries(const std::string& json_text) {
 struct TelemetrySampler::Impl {
   TelemetrySamplerOptions options;
   MetricRegistry* registry = nullptr;
-  std::string start_time_utc;
+  RunManifest manifest;  // start time + build provenance for the header
   std::uint64_t start_ns = 0;
 
   mutable std::mutex ring_mutex;
@@ -559,7 +479,7 @@ Status TelemetrySampler::start(const TelemetrySamplerOptions& options) {
   impl_->options = options;
   impl_->registry =
       options.registry != nullptr ? options.registry : &default_registry();
-  impl_->start_time_utc = RunManifest::capture("", 0, nullptr).start_time_utc;
+  impl_->manifest = RunManifest::capture("", 0, nullptr);
   impl_->start_ns = mono_ns();
   impl_->stop_requested = false;
   ProgressTracker::set_enabled(true);
@@ -587,8 +507,7 @@ void TelemetrySampler::sample_now() {
   if (impl_->registry == nullptr) {
     // Never started: sample the default registry against a fresh origin.
     impl_->registry = &default_registry();
-    impl_->start_time_utc =
-        RunManifest::capture("", 0, nullptr).start_time_utc;
+    impl_->manifest = RunManifest::capture("", 0, nullptr);
     impl_->start_ns = mono_ns();
   }
   impl_->take_sample();
@@ -596,9 +515,11 @@ void TelemetrySampler::sample_now() {
 
 Timeseries TelemetrySampler::snapshot() const {
   Timeseries ts;
-  ts.start_time_utc = impl_->start_time_utc;
+  ts.start_time_utc = impl_->manifest.start_time_utc;
   ts.cadence_ms = impl_->options.cadence_ms;
-  ts.build = current_build_info();
+  ts.git_sha = impl_->manifest.git_sha;
+  ts.build_type = impl_->manifest.build_type;
+  ts.compiler = impl_->manifest.compiler;
   std::lock_guard lock(impl_->ring_mutex);
   ts.dropped = impl_->dropped;
   ts.samples.assign(impl_->ring.begin(), impl_->ring.end());

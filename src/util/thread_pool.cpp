@@ -243,6 +243,9 @@ void parallel_for_task(void* p) {
       if (!ctl->first_error) ctl->first_error = std::current_exception();
     }
   }
+  // Publish this worker's allocation counts before signalling, so
+  // alloc_totals() read right after parallel_for returns includes them.
+  obs::prof_detail::flush_thread_allocs();
   // Signal under the mutex so the caller cannot observe pending == 0 and
   // destroy the control block while this thread still holds a reference.
   std::lock_guard lock(ctl->mutex);

@@ -209,12 +209,10 @@ TEST(AuditBundle, JsonRoundTripPreservesEverything) {
   const lp::Solution sol = lp::solve_lp(p);
   ASSERT_TRUE(sol.optimal());
 
-  obs::clear_audit_attribution();
-  obs::add_audit_attribution("attacker", "picked 2 targets");
-  obs::add_audit_attribution("defender:edge_3", "hardened, cost 1.5");
   obs::AuditBundle bundle =
       obs::make_audit_bundle(p, sol, "lp.simplex", "manual");
-  obs::clear_audit_attribution();
+  bundle.attribution = {{"attacker", "picked 2 targets"},
+                        {"defender:edge_3", "hardened, cost 1.5"}};
 
   std::ostringstream os;
   obs::write_audit_bundle(os, bundle);
@@ -385,18 +383,6 @@ TEST(ArmedAudit, FaultInjectedMonteCarloAutoDumpsBundle) {
 
   fs::remove_all(dir);
   rearm_suite_audit();
-}
-
-TEST(Attribution, GlobalRowsRoundTrip) {
-  obs::clear_audit_attribution();
-  EXPECT_TRUE(obs::audit_attribution().empty());
-  obs::add_audit_attribution("a", "first");
-  obs::set_audit_attribution({{"b", "second"}, {"c", "third"}});
-  const auto rows = obs::audit_attribution();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].key, "b");
-  EXPECT_EQ(rows[1].note, "third");
-  obs::clear_audit_attribution();
 }
 
 }  // namespace

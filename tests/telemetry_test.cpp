@@ -12,6 +12,7 @@
 
 #include "gridsec/obs/log.hpp"
 #include "gridsec/obs/metrics.hpp"
+#include "gridsec/obs/report.hpp"
 #include "gridsec/sim/montecarlo.hpp"
 #include "gridsec/util/thread_pool.hpp"
 
@@ -36,7 +37,9 @@ Timeseries make_timeseries() {
   Timeseries ts;
   ts.start_time_utc = "2026-01-02T03:04:05Z";
   ts.cadence_ms = 100.0;
-  ts.build = {"abc123", "Release", "gcc 12"};
+  ts.git_sha = "abc123";
+  ts.build_type = "Release";
+  ts.compiler = "gcc 12";
   ts.dropped = 3;
   TelemetrySample s1;
   s1.t_seconds = 0.001;
@@ -69,9 +72,9 @@ TEST(TimeseriesIo, JsonRoundTrip) {
   EXPECT_EQ(rt.schema_version, kTimeseriesSchemaVersion);
   EXPECT_EQ(rt.start_time_utc, ts.start_time_utc);
   EXPECT_EQ(rt.cadence_ms, ts.cadence_ms);
-  EXPECT_EQ(rt.build.git_sha, "abc123");
-  EXPECT_EQ(rt.build.build_type, "Release");
-  EXPECT_EQ(rt.build.compiler, "gcc 12");
+  EXPECT_EQ(rt.git_sha, "abc123");
+  EXPECT_EQ(rt.build_type, "Release");
+  EXPECT_EQ(rt.compiler, "gcc 12");
   EXPECT_EQ(rt.dropped, 3u);
   ASSERT_EQ(rt.samples.size(), 2u);
   EXPECT_EQ(rt.samples[0].t_seconds, 0.001);
@@ -107,22 +110,6 @@ TEST(TimeseriesIo, RejectsWrongSchema) {
       parse_timeseries(
           R"({"schema":"gridsec.timeseries","schema_version":1,"samples":[]})")
           .is_ok());
-}
-
-TEST(TimeseriesIo, CsvFlattening) {
-  const Timeseries ts = make_timeseries();
-  std::ostringstream os;
-  write_timeseries_csv(os, ts);
-  const std::string out = os.str();
-  EXPECT_EQ(out.compare(0, 31, "t_seconds,kind,name,value\n0.001"), 0);
-  EXPECT_NE(out.find(",counter,lp.simplex.pivots,10\n"), std::string::npos);
-  EXPECT_NE(out.find(",gauge,obs.alloc.live_bytes,512\n"),
-            std::string::npos);
-  EXPECT_NE(out.find(",worker_busy_ns,pool0.w1,1500\n"), std::string::npos);
-  EXPECT_NE(out.find(",progress_done,sim.montecarlo.trials,2\n"),
-            std::string::npos);
-  EXPECT_NE(out.find(",progress_total,sim.montecarlo.trials,100\n"),
-            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -315,7 +302,7 @@ TEST(SamplerTest, FinalSampleMatchesRegistryExitSnapshot) {
   ASSERT_GE(ts.samples.size(), 2u);
   EXPECT_EQ(ts.cadence_ms, 2.0);
   EXPECT_FALSE(ts.start_time_utc.empty());
-  EXPECT_EQ(ts.build.git_sha, current_build_info().git_sha);
+  EXPECT_EQ(ts.git_sha, RunManifest::capture("", 0, nullptr).git_sha);
   // stop() appended one final sample; it must agree exactly with the
   // registry's exit state.
   const TelemetrySample& last = ts.samples.back();

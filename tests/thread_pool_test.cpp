@@ -5,12 +5,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "gridsec/obs/metrics.hpp"
+#include "gridsec/obs/prof.hpp"
 
 namespace gridsec {
 namespace {
@@ -257,6 +259,27 @@ TEST(ParallelFor, SerialPathPropagatesException) {
                             }),
                std::runtime_error);
   EXPECT_EQ(ran, (std::vector<int>{0, 1}));
+}
+
+TEST(ParallelFor, AllocCountsAreFlushedBeforeReturn) {
+  // Workers count allocations in thread-locals and publish them at flush
+  // points; every worker's batch must be published before parallel_for
+  // returns, or a bench case's obs.alloc.* delta lands in the next case.
+  ThreadPool pool(4);
+  std::atomic<int*> sink{nullptr};  // keeps new/delete from being elided
+  int short_reps = 0;
+  for (int rep = 0; rep < 20000; ++rep) {
+    const std::int64_t before = obs::alloc_totals().count;
+    parallel_for(&pool, 64, [&sink](std::size_t) {
+      for (int k = 0; k < 10; ++k) {
+        int* p = new int(k);
+        sink.store(p, std::memory_order_relaxed);
+        delete p;
+      }
+    });
+    if (obs::alloc_totals().count - before < 640) ++short_reps;
+  }
+  EXPECT_EQ(short_reps, 0);
 }
 
 }  // namespace

@@ -1,33 +1,18 @@
 // gridsec-benchdiff — compare two harness-v2 run reports and gate on
 // regressions.
 //
-//   gridsec-benchdiff [options] BASELINE.json NEW.json
+//   gridsec-benchdiff BASELINE.json NEW.json
 //   gridsec-benchdiff --validate REPORT.json
 //
-// Options:
-//   --metric-threshold=F   relative threshold on per-rep counter deltas
-//                          (default 0.10 = +10%)
-//   --abs-slack=F          absolute per-rep slack a metric must also exceed
-//                          before it gates (default 4; shields near-zero
-//                          baselines from noise)
-//   --wall-threshold=F     also gate on median wall time regressing more
-//                          than F (relative). Off by default: baselines
-//                          come from different hardware, so CI gates on
-//                          counts, not seconds.
-//   --ignore=P1,P2,...     metric-name prefixes to report but never gate
-//                          (e.g. util.threadpool. when thread counts vary)
-//   --time-suffixes=S1,..  metric-name suffixes carrying wall-clock time;
-//                          reported but never gated in either direction,
-//                          including disappearance (default: _ns)
-//   --quiet                print only regressions and the verdict line
-//
-// Metrics present only in the candidate report (newly added counters) are
-// always informational — only baseline-side disappearance fails coverage.
+// The rules are fixed (obs/report.hpp): a per-rep counter delta regresses
+// past +10% relative AND +4 per rep absolute; wall time and `_ns` metrics
+// are information only, in either direction; a case or metric missing
+// from NEW fails coverage. Metrics present only in NEW (newly added
+// counters) are informational.
 //
 // Exit codes: 0 = clean (self-diff is always clean), 1 = regression,
 // 2 = usage or parse error.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -44,10 +29,7 @@ using namespace gridsec;
 int usage() {
   std::fprintf(
       stderr,
-      "usage: gridsec-benchdiff [--metric-threshold=F] [--abs-slack=F]\n"
-      "                         [--wall-threshold=F] [--ignore=P1,P2,...]\n"
-      "                         [--time-suffixes=S1,S2,...] [--quiet]\n"
-      "                         BASELINE.json NEW.json\n"
+      "usage: gridsec-benchdiff BASELINE.json NEW.json\n"
       "       gridsec-benchdiff --validate REPORT.json\n");
   return 2;
 }
@@ -60,29 +42,6 @@ StatusOr<obs::RunReport> load_report(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return obs::parse_report(buf.str());
-}
-
-bool parse_double_flag(const char* s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || v < 0.0) return false;
-  *out = v;
-  return true;
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char c : s) {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
-  return out;
 }
 
 /// True for metrics whose values are byte totals (obs.alloc.bytes,
@@ -123,31 +82,13 @@ const char* verdict_name(obs::DiffVerdict v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::DiffOptions options;
   bool validate_only = false;
-  bool quiet = false;
   std::vector<std::string> files;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    const auto value = [&a](const char* prefix) -> const char* {
-      const std::size_t n = std::strlen(prefix);
-      return a.compare(0, n, prefix) == 0 ? a.c_str() + n : nullptr;
-    };
-    if (const char* v = value("--metric-threshold=")) {
-      if (!parse_double_flag(v, &options.metric_rel_threshold)) return usage();
-    } else if (const char* v = value("--abs-slack=")) {
-      if (!parse_double_flag(v, &options.metric_abs_slack)) return usage();
-    } else if (const char* v = value("--wall-threshold=")) {
-      if (!parse_double_flag(v, &options.wall_rel_threshold)) return usage();
-    } else if (const char* v = value("--ignore=")) {
-      options.ignore_prefixes = split_csv(v);
-    } else if (const char* v = value("--time-suffixes=")) {
-      options.time_suffixes = split_csv(v);
-    } else if (a == "--validate") {
+    if (a == "--validate") {
       validate_only = true;
-    } else if (a == "--quiet") {
-      quiet = true;
     } else if (a == "--help" || a == "-h") {
       usage();
       return 0;
@@ -198,11 +139,10 @@ int main(int argc, char** argv) {
                  current->manifest.tool.c_str());
   }
 
-  const obs::DiffReport diff = obs::diff_reports(*baseline, *current, options);
+  const obs::DiffReport diff = obs::diff_reports(*baseline, *current);
 
   Table t({"case", "quantity", "baseline", "new", "change%", "verdict"});
   for (const obs::DiffRow& row : diff.rows) {
-    if (quiet && row.verdict != obs::DiffVerdict::kRegression) continue;
     const std::string change =
         row.baseline == 0.0 && row.current != 0.0
             ? "new"
@@ -226,10 +166,9 @@ int main(int argc, char** argv) {
       current->manifest.start_time_utc.c_str());
   if (diff.clean()) {
     std::printf("verdict: OK — no tracked metric regressed (thresholds: "
-                "metric +%.0f%%, abs slack %.1f%s)\n",
-                100.0 * options.metric_rel_threshold,
-                options.metric_abs_slack,
-                options.wall_rel_threshold > 0.0 ? ", wall gated" : "");
+                "metric +%.0f%%, abs slack %.1f)\n",
+                100.0 * obs::kDiffMetricRelThreshold,
+                obs::kDiffMetricAbsSlack);
     return 0;
   }
   std::printf("verdict: REGRESSION — %d tracked quantit%s regressed\n",

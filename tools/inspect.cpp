@@ -307,8 +307,8 @@ int top_file(const std::string& file) {
       ts.schema_version, ts.start_time_utc.c_str(),
       format_double(ts.cadence_ms, 1).c_str(), ts.samples.size(),
       static_cast<unsigned long long>(ts.dropped));
-  std::printf("build: %s %s %s\n", ts.build.git_sha.c_str(),
-              ts.build.build_type.c_str(), ts.build.compiler.c_str());
+  std::printf("build: %s %s %s\n", ts.git_sha.c_str(),
+              ts.build_type.c_str(), ts.compiler.c_str());
   if (ts.samples.empty()) return 0;
 
   const obs::TelemetrySample& last = ts.samples.back();
