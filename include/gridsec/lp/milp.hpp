@@ -26,9 +26,6 @@ struct BranchAndBoundOptions {
   /// diving heuristic). 0 = no limit. Expiry returns the incumbent (if any)
   /// with SolveStatus::kTimeLimit — feasible but not proven optimal.
   double time_limit_ms = 0.0;
-  /// Run LP presolve at the root (bound tightening propagates into every
-  /// node because nodes only shrink bounds further).
-  bool use_presolve = false;
   /// Before the search, dive once from the root relaxation — repeatedly
   /// round the most fractional integer and re-solve — to seed an incumbent
   /// early. Never affects optimality, only pruning speed.

@@ -10,7 +10,7 @@
 // run_differential_fuzz() is the harness: it generates seeded random
 // instances, optionally injects faults, and cross-checks independent
 // solution paths against each other —
-//   * hardened SimplexSolver vs. solve_lp_with_presolve on the same LP
+//   * default SimplexSolver vs. a cold Bland's-rule solve of the same LP
 //     (verdict classes must agree; optimal objectives must match),
 //   * StrategicAdversary::plan / plan_milp vs. the brute-force
 //     plan_enumerate on small impact matrices,
@@ -104,10 +104,9 @@ class FaultInjector {
 };
 
 /// Multiplicative jitter on every objective coefficient (or edge cost):
-/// c <- c * (1 + rel_scale * u), u ~ U(-1, 1). The retry policy in
-/// run_trials_robust uses this to break degenerate ties / conditioning
-/// issues on a numerically failed trial without changing the economics
-/// beyond O(rel_scale).
+/// c <- c * (1 + rel_scale * u), u ~ U(-1, 1). The recovery ladder's
+/// perturbed rung and the warm fuzz leg use this to break degenerate ties /
+/// conditioning issues without changing the economics beyond O(rel_scale).
 void jitter_costs(lp::Problem& p, Rng& rng, double rel_scale = 1e-7);
 void jitter_costs(flow::Network& net, Rng& rng, double rel_scale = 1e-7);
 
@@ -136,7 +135,7 @@ struct FuzzOptions {
 struct FuzzStats {
   int instances = 0;         // total instances exercised across all legs
   int faulted = 0;           // instances that received injected faults
-  int lp_checks = 0;         // simplex-vs-presolve comparisons run
+  int lp_checks = 0;         // default-vs-Bland simplex comparisons run
   int adversary_checks = 0;  // plan/plan_milp-vs-enumerate comparisons run
   int network_checks = 0;    // validate-vs-solve pipeline probes run
   int warm_checks = 0;       // warm-vs-cold simplex comparisons run

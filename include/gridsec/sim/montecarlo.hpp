@@ -10,10 +10,8 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
-#include "gridsec/lp/basis.hpp"
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/telemetry.hpp"
 #include "gridsec/obs/trace.hpp"
@@ -72,8 +70,8 @@ RunningStats run_scalar_trials(
 
 struct RobustTrialOptions {
   /// Total attempts per trial (1 = no retry). Retries fire only for
-  /// ErrorCode::kNumericalError — the one failure class where a perturbed
-  /// re-solve (e.g. robust::jitter_costs) plausibly succeeds. Each retry
+  /// ErrorCode::kNumericalError — the one failure class where re-running
+  /// the trial on different random draws plausibly succeeds. Each retry
   /// gets an independent RNG stream derived from the trial's stream.
   int max_attempts = 1;
   /// Abort the sweep on the first (post-retry) failure. Remaining trials
@@ -121,25 +119,10 @@ std::string summarize_failures(std::size_t n,
 /// returning a non-ok StatusOr (exceptions escaping `fn` are converted to
 /// kInternal). `fn` receives (trial, rng, attempt); attempt 0 carries the
 /// canonical per-trial stream, attempt k > 0 an independent retry stream.
-///
-/// `fn` may instead take (trial, rng, attempt, lp::Basis*): the harness
-/// then owns one basis slot per trial that lives across retry attempts.
-/// A trial that stores its solve's final basis there on attempt 0 hands
-/// every retry a warm start for the perturbed re-solve; the slot starts
-/// empty, so attempt 0 itself is unaffected and fully-successful sweeps
-/// stay bit-identical to the 3-argument form.
 template <typename T, typename F>
 RobustTrialResults<T> run_trials_robust(
     ThreadPool* pool, std::size_t n, std::uint64_t seed, const F& fn,
     const RobustTrialOptions& options = {}) {
-  constexpr bool kWarmSlot =
-      std::is_invocable_r_v<StatusOr<T>, const F&, std::size_t, Rng&, int,
-                            lp::Basis*>;
-  static_assert(kWarmSlot ||
-                    std::is_invocable_r_v<StatusOr<T>, const F&, std::size_t,
-                                          Rng&, int>,
-                "run_trials_robust fn must be callable as "
-                "StatusOr<T>(trial, rng, attempt[, lp::Basis*])");
   GRIDSEC_TRACE_SPAN("sim.run_trials_robust");
   static obs::Counter& c_trials =
       obs::default_registry().counter("sim.montecarlo.trials");
@@ -168,7 +151,6 @@ RobustTrialResults<T> run_trials_robust(
       return;
     }
     Status last = Status::ok();
-    lp::Basis warm;  // per-trial slot shared across retry attempts
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
       GRIDSEC_TRACE_SPAN("sim.trial");
       Rng rng = attempt == 0
@@ -177,11 +159,7 @@ RobustTrialResults<T> run_trials_robust(
                           static_cast<std::uint64_t>(attempt));
       StatusOr<T> r = [&]() -> StatusOr<T> {
         try {
-          if constexpr (kWarmSlot) {
-            return fn(i, rng, attempt, &warm);
-          } else {
-            return fn(i, rng, attempt);
-          }
+          return fn(i, rng, attempt);
         } catch (const std::exception& e) {
           return Status::internal(std::string("trial threw: ") + e.what());
         }

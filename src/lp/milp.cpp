@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "gridsec/lp/presolve.hpp"
 #include "gridsec/obs/log.hpp"
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/telemetry.hpp"
@@ -88,78 +87,14 @@ Solution BranchAndBoundSolver::solve(const Problem& problem) const {
 Solution BranchAndBoundSolver::solve_search(const Problem& problem) const {
   stats_ = {};
 
-  // Guardrails: reject NaN/Inf-poisoned data before presolve or any LP
-  // arithmetic touches it, and arm the wall-clock deadline for the search.
+  // Guardrails: reject NaN/Inf-poisoned data before any LP arithmetic
+  // touches it, and arm the wall-clock deadline for the search.
   if (!validate_problem(problem).is_ok()) {
     Solution out;
     out.status = SolveStatus::kNumericalError;
     return out;
   }
   const Deadline deadline = Deadline::in_ms(options_.time_limit_ms);
-
-  // Optional root presolve. Only usable when it does not fix any integer
-  // variable at a fractional value (then its reductions are MILP-valid:
-  // bounds only ever shrink further down the tree).
-  if (options_.use_presolve) {
-    Presolved pre = presolve(problem);
-    bool integral_fixings = true;
-    if (pre.verdict() == Presolved::Verdict::kReduced ||
-        pre.verdict() == Presolved::Verdict::kSolved) {
-      Solution dummy;
-      dummy.status = SolveStatus::kOptimal;
-      if (pre.verdict() == Presolved::Verdict::kSolved) {
-        Solution mapped = pre.postsolve(dummy);
-        if (problem.is_feasible(mapped.x, options_.integrality_tol)) {
-          return mapped;
-        }
-        integral_fixings = false;  // a fixing violated integrality
-      } else {
-        // Check the fixings without solving: reconstruct fixed values by
-        // postsolving a zero vector of reduced size.
-        Solution zeros;
-        zeros.status = SolveStatus::kOptimal;
-        zeros.x.assign(
-            static_cast<std::size_t>(pre.reduced().num_variables()), 0.0);
-        Solution mapped = pre.postsolve(zeros);
-        for (int j = 0; j < problem.num_variables(); ++j) {
-          if (problem.variable(j).type == VarType::kContinuous) continue;
-          const double v = mapped.x[static_cast<std::size_t>(j)];
-          // Only fixed variables carry meaningful values here; reduced
-          // columns were zeroed, and zero is always integral.
-          if (std::fabs(v - std::round(v)) > options_.integrality_tol) {
-            integral_fixings = false;
-            break;
-          }
-        }
-        if (integral_fixings) {
-          BranchAndBoundOptions inner = options_;
-          inner.use_presolve = false;
-          if (inner.time_limit_ms > 0.0) {
-            inner.time_limit_ms = deadline.remaining_ms();
-          }
-          BranchAndBoundSolver solver(inner);
-          Solution reduced_sol = solver.solve(pre.reduced());
-          stats_ = solver.stats();
-          if (reduced_sol.status != SolveStatus::kOptimal) {
-            // Map terminal statuses through unchanged.
-            Solution out;
-            out.status = reduced_sol.status;
-            return out;
-          }
-          return pre.postsolve(reduced_sol);
-        }
-      }
-    } else if (pre.verdict() == Presolved::Verdict::kInfeasible) {
-      Solution out;
-      out.status = SolveStatus::kInfeasible;
-      return out;
-    } else if (pre.verdict() == Presolved::Verdict::kUnbounded) {
-      Solution out;
-      out.status = SolveStatus::kUnbounded;
-      return out;
-    }
-    // Fractional integer fixing: fall through to the plain search.
-  }
 
   const bool maximize = problem.objective() == Objective::kMaximize;
   const auto internal = [maximize](double obj) {

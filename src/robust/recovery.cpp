@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "gridsec/lp/basis.hpp"
-#include "gridsec/lp/presolve.hpp"
+#include "gridsec/lp/equilibrate.hpp"
 #include "gridsec/obs/audit.hpp"
 #include "gridsec/obs/log.hpp"
 #include "gridsec/obs/metrics.hpp"

@@ -31,14 +31,11 @@ std::vector<GainLossPoint> experiment_gain_loss(
     auto trials = run_trials_robust<Trial>(
         options.pool, static_cast<std::size_t>(options.trials),
         point_seed(options.seed, pi, 1),
-        [&](std::size_t, Rng& rng, int, lp::Basis* warm) -> StatusOr<Trial> {
+        [&](std::size_t, Rng& rng, int) -> StatusOr<Trial> {
           auto own =
               cps::Ownership::random(net.num_edges(), n_actors, rng);
-          cps::ImpactOptions impact = options.impact;
-          impact.warm_start = *warm;
-          auto im = cps::compute_impact_matrix(net, own, impact);
+          auto im = cps::compute_impact_matrix(net, own, options.impact);
           if (!im.is_ok()) return im.status();
-          *warm = std::move(im->base_basis);
           Trial t;
           t.gain = im->matrix.aggregate_gain();
           t.loss = im->matrix.aggregate_loss();
@@ -82,17 +79,13 @@ std::vector<AdversaryNoisePoint> experiment_adversary_noise(
     auto trials = run_trials_robust<Trial>(
         options.pool, static_cast<std::size_t>(options.trials),
         point_seed(options.seed, ai, 2),
-        [&](std::size_t, Rng& rng, int, lp::Basis* warm) -> StatusOr<Trial> {
+        [&](std::size_t, Rng& rng, int) -> StatusOr<Trial> {
           auto own =
               cps::Ownership::random(net.num_edges(), n_actors, rng);
           cps::ImpactOptions impact = options.impact;
-          impact.warm_start = *warm;
           auto truth = cps::compute_impact_matrix(net, own, impact);
           if (!truth.is_ok()) return truth.status();
-          // A retry of this trial (a believed solve below may fail
-          // numerically) restarts the truth solve from this basis.
-          *warm = truth->base_basis;
-          impact.warm_start = truth->base_basis;
+          impact.warm_start = std::move(truth->base_basis);
           Trial t;
           for (double sigma : config.sigmas) {
             cps::NoiseSpec noise;

@@ -138,7 +138,7 @@ void ThreadPool::submit_raw(void (*fn)(void*), void* ctx, std::size_t count) {
       queue_.push_back(Task{fn, ctx, {}});
     }
     pool_metrics().queue_depth.set(static_cast<double>(queue_.size()));
-    pool_metrics().submitted.add(static_cast<double>(count));
+    pool_metrics().submitted.add(static_cast<std::int64_t>(count));
   }
   cv_.notify_all();
 }
@@ -204,7 +204,9 @@ void ThreadPool::worker_loop(std::size_t worker) {
       pool_metrics().busy_ns.add(busy);
       --active_;
       pool_metrics().active.set(static_cast<double>(active_));
-      pool_metrics().completed.add();
+      // Raw tasks (parallel_for) count themselves before releasing their
+      // caller; counting them here would land after parallel_for returned.
+      if (task.raw == nullptr) pool_metrics().completed.add();
       if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
     }
   }
@@ -243,9 +245,11 @@ void parallel_for_task(void* p) {
       if (!ctl->first_error) ctl->first_error = std::current_exception();
     }
   }
-  // Publish this worker's allocation counts before signalling, so
-  // alloc_totals() read right after parallel_for returns includes them.
+  // Publish this worker's allocation counts and its completed task before
+  // signalling, so counters read right after parallel_for returns include
+  // them.
   obs::prof_detail::flush_thread_allocs();
+  pool_metrics().completed.add();
   // Signal under the mutex so the caller cannot observe pending == 0 and
   // destroy the control block while this thread still holds a reference.
   std::lock_guard lock(ctl->mutex);

@@ -123,46 +123,20 @@ TEST(Milp, NodeBudgetReportsIterationLimit) {
   EXPECT_EQ(sol.status, SolveStatus::kIterationLimit);
 }
 
-TEST(Milp, PresolveOptionMatchesPlain) {
-  BranchAndBoundOptions opts;
-  opts.use_presolve = true;
-  BranchAndBoundSolver with_presolve(opts);
-  Problem p(Objective::kMaximize);
-  int fixed = p.add_variable("fixed", 2.0, 2.0, 1.0);  // presolve removes
-  int a = p.add_binary("a", 10.0);
-  int b = p.add_binary("b", 13.0);
-  p.add_constraint("w", LinearExpr().add(a, 3.0).add(b, 4.0).add(fixed, 1.0),
-                   Sense::kLessEqual, 8.0);
-  auto plain = solve_milp(p);
-  auto pre = with_presolve.solve(p);
-  ASSERT_EQ(plain.status, SolveStatus::kOptimal);
-  ASSERT_EQ(pre.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(plain.objective, pre.objective, 1e-6);
-  EXPECT_NEAR(pre.x[static_cast<std::size_t>(fixed)], 2.0, 1e-9);
-}
-
-TEST(Milp, PresolveDetectsInfeasibleBeforeSearch) {
-  BranchAndBoundOptions opts;
-  opts.use_presolve = true;
-  BranchAndBoundSolver solver(opts);
+TEST(Milp, RowOutsideIntegerBoundsIsInfeasible) {
   Problem p(Objective::kMinimize);
   int x = p.add_variable("x", 0.0, 1.0, 1.0, VarType::kInteger);
   p.add_constraint("hi", LinearExpr().add(x, 1.0), Sense::kGreaterEqual, 3.0);
-  auto sol = solver.solve(p);
-  EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
+  EXPECT_EQ(solve_milp(p).status, SolveStatus::kInfeasible);
 }
 
-TEST(Milp, PresolveFractionalIntegerFixingFallsBack) {
-  // The singleton row fixes the integer x at 2.5; presolve must not emit
-  // that as a solution — the plain search proves infeasibility.
-  BranchAndBoundOptions opts;
-  opts.use_presolve = true;
-  BranchAndBoundSolver solver(opts);
+TEST(Milp, FractionalEqualityOnIntegerIsInfeasible) {
+  // The only LP-feasible point is x = 2.5; branching on it must prove the
+  // integer program infeasible.
   Problem p(Objective::kMinimize);
   int x = p.add_variable("x", 0.0, 5.0, 1.0, VarType::kInteger);
   p.add_constraint("half", LinearExpr().add(x, 2.0), Sense::kEqual, 5.0);
-  auto sol = solver.solve(p);
-  EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
+  EXPECT_EQ(solve_milp(p).status, SolveStatus::kInfeasible);
 }
 
 TEST(Milp, DivingDisabledStillOptimal) {

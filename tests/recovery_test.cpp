@@ -20,8 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "gridsec/lp/basis.hpp"
-#include "gridsec/lp/lp_io.hpp"
-#include "gridsec/lp/presolve.hpp"
+#include "gridsec/lp/equilibrate.hpp"
 #include "gridsec/lp/problem.hpp"
 #include "gridsec/lp/simplex.hpp"
 #include "gridsec/obs/audit.hpp"
@@ -178,7 +177,7 @@ std::vector<std::string> illcond_corpus() {
   std::vector<std::string> files;
   for (const auto& entry :
        std::filesystem::directory_iterator(GRIDSEC_ILLCOND_DIR)) {
-    if (entry.path().extension() == ".lp") {
+    if (entry.path().extension() == ".json") {
       files.push_back(entry.path().string());
     }
   }
@@ -208,9 +207,9 @@ TEST(IllConditionedCorpus, LadderRecoversEveryInstance) {
   // re-certify the adopted answers with a tighter check than the hook's).
   lp::ScopedSolveHookSuppress no_audit;
   for (const std::string& file : files) {
-    auto parsed = lp::read_lp_file(file);
+    auto parsed = obs::read_audit_bundle_file(file);
     ASSERT_TRUE(parsed.is_ok()) << file << ": " << parsed.status().message();
-    const lp::Problem p = std::move(parsed.value());
+    const lp::Problem p = std::move(parsed->problem);
 
     lp::SimplexOptions so;
     so.time_limit_ms = 5000.0;
@@ -238,9 +237,9 @@ TEST(IllConditionedCorpus, LadderRecoversEveryInstance) {
 TEST(IllConditionedCorpus, SingleRungPoliciesCoverTheLadder) {
   const std::vector<std::string> files = illcond_corpus();
   ASSERT_FALSE(files.empty());
-  auto parsed = lp::read_lp_file(files.front());
+  auto parsed = obs::read_audit_bundle_file(files.front());
   ASSERT_TRUE(parsed.is_ok());
-  const lp::Problem p = std::move(parsed.value());
+  const lp::Problem p = std::move(parsed->problem);
   lp::ScopedSolveHookSuppress no_audit;
 
   lp::SimplexOptions so;
@@ -274,9 +273,9 @@ TEST(IllConditionedCorpus, SingleRungPoliciesCoverTheLadder) {
 TEST(IllConditionedCorpus, WarmRungsRunWithSuppliedBasis) {
   const std::vector<std::string> files = illcond_corpus();
   ASSERT_FALSE(files.empty());
-  auto parsed = lp::read_lp_file(files.front());
+  auto parsed = obs::read_audit_bundle_file(files.front());
   ASSERT_TRUE(parsed.is_ok());
-  const lp::Problem p = std::move(parsed.value());
+  const lp::Problem p = std::move(parsed->problem);
   lp::ScopedSolveHookSuppress no_audit;
 
   // Manufacture a (stale) warm basis: all-slack-basic, variables at lower.
@@ -321,9 +320,9 @@ TEST_F(HookSandbox, HookRecoversPlainSolverCalls) {
   so.time_limit_ms = 5000.0;
   int hook_recoveries = 0;
   for (const std::string& file : files) {
-    auto parsed = lp::read_lp_file(file);
+    auto parsed = obs::read_audit_bundle_file(file);
     ASSERT_TRUE(parsed.is_ok()) << file;
-    const lp::Problem p = std::move(parsed.value());
+    const lp::Problem p = std::move(parsed->problem);
     // Plain SimplexSolver call — no robust:: API in sight. The installed
     // hook fires on kNumericalError and escalates in place.
     const lp::Solution sol = lp::SimplexSolver(so).solve(p);
@@ -342,9 +341,9 @@ TEST_F(HookSandbox, RuntimeToggleSuppressesInstalledHook) {
   lp::SimplexOptions so;
   so.time_limit_ms = 5000.0;
   for (const std::string& file : files) {
-    auto parsed = lp::read_lp_file(file);
+    auto parsed = obs::read_audit_bundle_file(file);
     ASSERT_TRUE(parsed.is_ok());
-    const lp::Solution sol = lp::SimplexSolver(so).solve(parsed.value());
+    const lp::Solution sol = lp::SimplexSolver(so).solve(parsed->problem);
     EXPECT_TRUE(sol.recovery_trail.empty()) << file;
   }
   set_recovery_enabled(true);
@@ -354,9 +353,9 @@ TEST_F(HookSandbox, RuntimeToggleSuppressesInstalledHook) {
 TEST_F(HookSandbox, ScopedDisableIsThreadLocal) {
   const std::vector<std::string> files = illcond_corpus();
   ASSERT_FALSE(files.empty());
-  auto parsed = lp::read_lp_file(files.front());
+  auto parsed = obs::read_audit_bundle_file(files.front());
   ASSERT_TRUE(parsed.is_ok());
-  const lp::Problem p = std::move(parsed.value());
+  const lp::Problem p = std::move(parsed->problem);
   lp::ScopedSolveHookSuppress no_audit;
   install_recovery();
   lp::SimplexOptions so;
@@ -401,33 +400,6 @@ TEST(AuditTrail, RecoveryTrailRoundTripsThroughBundles) {
   EXPECT_TRUE(trail[2].certified);
 }
 
-TEST(LpIo, CorpusFilesRoundTripExactly) {
-  const std::vector<std::string> files = illcond_corpus();
-  ASSERT_FALSE(files.empty());
-  for (const std::string& file : files) {
-    auto parsed = lp::read_lp_file(file);
-    ASSERT_TRUE(parsed.is_ok()) << file;
-    // write -> parse must be a fixpoint: bit-identical numbers
-    // (precision-17 output) and identical structure.
-    const std::string text = lp::to_lp_format(parsed.value());
-    auto reparsed = lp::parse_lp_format(text);
-    ASSERT_TRUE(reparsed.is_ok()) << file;
-    EXPECT_EQ(text, lp::to_lp_format(reparsed.value())) << file;
-  }
-}
-
-TEST(LpIo, ReadMissingFileIsNotFound) {
-  auto parsed = lp::read_lp_file("/nonexistent/no_such.lp");
-  ASSERT_FALSE(parsed.is_ok());
-  EXPECT_EQ(parsed.status().code(), ErrorCode::kNotFound);
-}
-
-TEST(LpIo, MalformedTextIsInvalidArgument) {
-  auto parsed = lp::parse_lp_format("Minimize\n obj: 2 zebra\nEnd\n");
-  ASSERT_FALSE(parsed.is_ok());
-  EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument);
-}
-
 TEST(BlandFromFirstPivot, MatchesDefaultPricingOnCleanInstance) {
   lp::SimplexOptions bland;
   bland.bland_after = -1;
@@ -448,9 +420,9 @@ TEST(RecoveryConcurrency, ConcurrentSolvesWithInstalledHook) {
   ASSERT_FALSE(files.empty());
   std::vector<lp::Problem> corpus;
   for (const std::string& file : files) {
-    auto parsed = lp::read_lp_file(file);
+    auto parsed = obs::read_audit_bundle_file(file);
     ASSERT_TRUE(parsed.is_ok());
-    corpus.push_back(std::move(parsed.value()));
+    corpus.push_back(std::move(parsed->problem));
   }
   std::atomic<int> recovered{0};
   std::vector<std::thread> threads;
@@ -483,9 +455,9 @@ TEST(RecoveryConcurrency, InstallToggleRacesSolves) {
   lp::ScopedSolveHookSuppress no_audit;
   const std::vector<std::string> files = illcond_corpus();
   ASSERT_FALSE(files.empty());
-  auto parsed = lp::read_lp_file(files.front());
+  auto parsed = obs::read_audit_bundle_file(files.front());
   ASSERT_TRUE(parsed.is_ok());
-  const lp::Problem p = std::move(parsed.value());
+  const lp::Problem p = std::move(parsed->problem);
   std::atomic<bool> stop{false};
   std::thread toggler([&stop] {
     RecoveryPolicy alt = RecoveryPolicy::ladder();

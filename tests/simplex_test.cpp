@@ -5,7 +5,6 @@
 
 #include <cmath>
 
-#include "gridsec/lp/lp_io.hpp"
 #include "gridsec/util/rng.hpp"
 
 namespace gridsec::lp {
@@ -304,31 +303,6 @@ TEST_P(SimplexRandomized, RandomTransportationFeasibleAndBounded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandomized, ::testing::Range(0, 25));
-
-TEST(LpIo, SanitizesAwkwardNames) {
-  Problem p(Objective::kMinimize);
-  int x = p.add_variable("2nd stage", 0.0, 1.0, 1.0);  // leading digit
-  p.add_constraint("", LinearExpr().add(x, -1.0), Sense::kGreaterEqual,
-                   -0.5);  // unnamed row, negative leading coefficient
-  const std::string text = to_lp_format(p);
-  EXPECT_NE(text.find("_2nd_stage"), std::string::npos);
-  EXPECT_NE(text.find("c0:"), std::string::npos);
-  EXPECT_NE(text.find("- "), std::string::npos);
-}
-
-TEST(LpIo, WritesReadableModel) {
-  Problem p(Objective::kMaximize);
-  int x = p.add_variable("flow rate", 0.0, 10.0, 2.5);
-  p.add_binary("pick", 1.0);
-  p.add_constraint("cap limit", LinearExpr().add(x, 1.0), Sense::kLessEqual,
-                   7.0);
-  const std::string text = to_lp_format(p);
-  EXPECT_NE(text.find("Maximize"), std::string::npos);
-  EXPECT_NE(text.find("flow_rate"), std::string::npos);
-  EXPECT_NE(text.find("cap_limit"), std::string::npos);
-  EXPECT_NE(text.find("General"), std::string::npos);
-  EXPECT_NE(text.find("End"), std::string::npos);
-}
 
 }  // namespace
 }  // namespace gridsec::lp

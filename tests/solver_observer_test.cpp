@@ -94,7 +94,6 @@ TEST(SimplexObserver, ObserverDoesNotChangeResult) {
 
 TEST(BnBObserver, ExploredEventsMatchStatsAndSolutionBnb) {
   BranchAndBoundOptions opt;
-  opt.use_presolve = false;  // keep the full tree so events are non-trivial
   long explored_events = 0;
   long incumbent_events = 0;
   double last_gap = -1.0;
@@ -136,7 +135,6 @@ TEST(BnBObserver, BoundsReportedInProblemSense) {
   // Maximization: every reported node bound must be >= the final optimum
   // (the relaxation can only be optimistic).
   BranchAndBoundOptions opt;
-  opt.use_presolve = false;
   std::vector<double> bounds;
   opt.observer = [&bounds](const obs::BnBNodeEvent& ev) {
     if (ev.kind == obs::BnBNodeEvent::Kind::kNodeExplored) {

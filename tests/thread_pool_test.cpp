@@ -282,5 +282,21 @@ TEST(ParallelFor, AllocCountsAreFlushedBeforeReturn) {
   EXPECT_EQ(short_reps, 0);
 }
 
+TEST(ParallelFor, TasksCompletedCountedBeforeReturn) {
+  // Each of the 4 workers runs one parallel_for task; all 4 must be in
+  // util.threadpool.tasks_completed by the time parallel_for returns, or a
+  // bench case's delta misses its last task.
+  ThreadPool pool(4);
+  const obs::Counter& completed =
+      obs::default_registry().counter("util.threadpool.tasks_completed");
+  int short_reps = 0;
+  for (int rep = 0; rep < 20000; ++rep) {
+    const std::int64_t before = completed.value();
+    parallel_for(&pool, 64, [](std::size_t) {});
+    if (completed.value() - before != 4) ++short_reps;
+  }
+  EXPECT_EQ(short_reps, 0);
+}
+
 }  // namespace
 }  // namespace gridsec
