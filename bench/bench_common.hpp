@@ -24,7 +24,6 @@
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/prof.hpp"
 #include "gridsec/obs/report.hpp"
-#include "gridsec/obs/telemetry.hpp"
 #include "gridsec/util/table.hpp"
 #include "gridsec/util/thread_pool.hpp"
 
@@ -47,18 +46,12 @@ struct BenchArgs {
   // Harness::run_case (reps 0 / warmup -1 mean "use the case default").
   int reps = 0;
   int warmup = -1;
-  // --timeseries=FILE: run the telemetry sampler for the whole bench and
-  // write the gridsec.timeseries artifact to FILE.
-  std::string timeseries_file;
-  // --progress: mirror live progress/ETA heartbeats to stderr.
-  bool progress = false;
 };
 
 [[noreturn]] inline void usage_exit(const char* prog, int code) {
   std::fprintf(stderr,
                "usage: %s [--trials=N] [--seed=S] [--threads=T] [--reps=N] "
-               "[--warmup=N] [--csv] [--json[=FILE]] [--profile[=FILE]] "
-               "[--timeseries=FILE] [--progress]\n",
+               "[--warmup=N] [--csv] [--json[=FILE]] [--profile[=FILE]]\n",
                prog);
   std::exit(code);
 }
@@ -122,11 +115,6 @@ inline BenchArgs parse_args(int argc, char** argv) {
       if (args.profile_file.empty()) malformed();
     } else if (a == "--profile") {
       args.profile_file = default_sidecar_name(argv[0], "PROF");
-    } else if (const char* s = value("--timeseries=")) {
-      args.timeseries_file = s;
-      if (args.timeseries_file.empty()) malformed();
-    } else if (a == "--progress") {
-      args.progress = true;
     } else if (a == "--csv") {
       args.csv_only = true;
     } else if (a == "--help" || a == "-h") {
@@ -164,16 +152,6 @@ class Harness {
     report_.manifest.trials = args.trials;
     if (args.threads != 0) report_.manifest.threads = args.threads;
     if (!args_.profile_file.empty()) obs::Profiler::start();
-    if (!args_.timeseries_file.empty() || args_.progress) {
-      obs::TelemetrySamplerOptions topts;
-      topts.progress_to_stderr = args_.progress;
-      const Status st = sampler_.start(topts);
-      if (!st.is_ok()) {
-        std::fprintf(stderr, "cannot start telemetry sampler: %s\n",
-                     st.to_string().c_str());
-        std::exit(1);
-      }
-    }
   }
 
   /// Runs `fn` default_warmup (unmeasured) + default_reps (measured) times
@@ -219,7 +197,6 @@ class Harness {
   /// after every case ran.
   void emit_report() {
     emit_profile();
-    emit_timeseries();
     if (args_.json_file.empty()) return;
     report_.manifest.wall_time_seconds = elapsed_seconds(start_);
     std::ofstream out(args_.json_file);
@@ -250,22 +227,6 @@ class Harness {
         obs::default_registry().counter_values()));
   }
 
-  void emit_timeseries() {
-    if (!sampler_.running()) return;
-    sampler_.stop();  // final sample = registry exit snapshot
-    if (args_.timeseries_file.empty()) return;
-    std::ofstream out(args_.timeseries_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot write timeseries to '%s'\n",
-                   args_.timeseries_file.c_str());
-      return;
-    }
-    const obs::Timeseries ts = sampler_.snapshot();
-    obs::write_timeseries_json(out, ts);
-    std::fprintf(stderr, "timeseries: %zu samples -> %s\n",
-                 ts.samples.size(), args_.timeseries_file.c_str());
-  }
-
   void emit_profile() {
     if (args_.profile_file.empty()) return;
     obs::Profiler::stop();
@@ -287,7 +248,6 @@ class Harness {
   BenchArgs args_;
   obs::RunReport report_;
   std::chrono::steady_clock::time_point start_;
-  obs::TelemetrySampler sampler_;
 };
 
 }  // namespace gridsec::bench

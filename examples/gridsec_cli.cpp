@@ -20,10 +20,6 @@
 //                  gridsec.profile JSON to FILE plus folded flamegraph
 //                  stacks to FILE.folded (render with gridsec-inspect
 //                  profile FILE; see docs/observability.md)
-//   --progress     mirror live progress/ETA heartbeats to stderr
-//   --timeseries=FILE  run the telemetry sampler (100 ms cadence) and
-//                  write the gridsec.timeseries artifact to FILE at exit
-//                  (render with gridsec-inspect top FILE)
 //   --report=FILE  write a gridsec.bench_report run report (provenance
 //                  manifest + wall time + metric deltas + the full metrics
 //                  registry) to FILE
@@ -62,7 +58,6 @@
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/prof.hpp"
 #include "gridsec/obs/report.hpp"
-#include "gridsec/obs/telemetry.hpp"
 #include "gridsec/robust/recovery.hpp"
 #include "gridsec/obs/trace.hpp"
 #include "gridsec/util/table.hpp"
@@ -86,8 +81,6 @@ struct CliArgs {
   std::string audit_file;    // empty = no audit bundle
   double time_limit_ms = 0.0;  // 0 = unlimited
   bool fail_fast = false;
-  bool progress = false;
-  std::string timeseries_file;   // empty = sampler off
 };
 
 /// Impact options with the CLI's wall-clock budget threaded down to every
@@ -106,7 +99,7 @@ int usage() {
                "[--cost=C] [--budget=B] [--trace=FILE] [--profile=FILE] "
                "[--report=FILE] "
                "[--audit=FILE] "
-               "[--progress] [--timeseries=FILE] [--time-limit-ms=N] "
+               "[--time-limit-ms=N] "
                "[--fail-fast] [--warm-start=on|off] "
                "[--recovery=ladder|off]\n");
   return 2;
@@ -439,9 +432,6 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--audit=")) {
       args.audit_file = v;
       ok = !args.audit_file.empty();
-    } else if (const char* v = value("--timeseries=")) {
-      args.timeseries_file = v;
-      ok = !args.timeseries_file.empty();
     } else if (const char* v = value("--time-limit-ms=")) {
       ok = parse_double(v, &args.time_limit_ms) && args.time_limit_ms >= 0.0;
     } else if (const char* v = value("--warm-start=")) {
@@ -456,8 +446,6 @@ int main(int argc, char** argv) {
       args.collab = true;
     } else if (a == "--fail-fast") {
       args.fail_fast = true;
-    } else if (a == "--progress") {
-      args.progress = true;
     } else {
       std::fprintf(stderr, "gridsec_cli: unknown option '%s'\n", a.c_str());
       return usage();
@@ -492,20 +480,6 @@ int main(int argc, char** argv) {
   const auto run_start = std::chrono::steady_clock::now();
   if (!args.profile_file.empty()) gridsec::obs::Profiler::start();
 
-  // The sampler enables the progress tracker, so --timeseries and
-  // --progress both light up progress/ETA accounting in the solver loops.
-  gridsec::obs::TelemetrySampler sampler;
-  if (!args.timeseries_file.empty() || args.progress) {
-    gridsec::obs::TelemetrySamplerOptions sampler_opts;
-    sampler_opts.progress_to_stderr = args.progress;
-    const auto started = sampler.start(sampler_opts);
-    if (!started.is_ok()) {
-      std::fprintf(stderr, "cannot start telemetry sampler: %s\n",
-                   started.to_string().c_str());
-      return 1;
-    }
-  }
-
   if (!args.audit_file.empty()) {
     gridsec::obs::AuditConfig audit_cfg;
     audit_cfg.capture_all = true;  // always have a bundle to write at exit
@@ -514,21 +488,6 @@ int main(int argc, char** argv) {
   if (!args.trace_file.empty()) gridsec::obs::Tracer::start();
   Attribution attribution;
   const int rc = run_command(*parsed, args, &attribution);
-  if (sampler.running()) {
-    sampler.stop();  // takes the final sample: ring tail == exit registry
-    if (!args.timeseries_file.empty()) {
-      std::ofstream out(args.timeseries_file);
-      if (!out) {
-        std::fprintf(stderr, "cannot write timeseries to '%s'\n",
-                     args.timeseries_file.c_str());
-        return 1;
-      }
-      const gridsec::obs::Timeseries ts = sampler.snapshot();
-      gridsec::obs::write_timeseries_json(out, ts);
-      std::fprintf(stderr, "timeseries: %zu samples -> %s\n",
-                   ts.samples.size(), args.timeseries_file.c_str());
-    }
-  }
   if (!args.profile_file.empty()) {
     gridsec::obs::Profiler::stop();
     const gridsec::obs::Profile profile = gridsec::obs::Profiler::snapshot();

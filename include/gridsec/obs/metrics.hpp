@@ -77,9 +77,6 @@ class MetricRegistry {
   /// by the bench harness to compute per-case metric deltas.
   [[nodiscard]] std::map<std::string, std::int64_t> counter_values() const;
 
-  /// Point-in-time snapshot of every gauge's value, keyed by name.
-  [[nodiscard]] std::map<std::string, double> gauge_values() const;
-
   /// One JSON object: {"counters":{...},"gauges":{...}}. Names sorted;
   /// stable across runs.
   void write_json(std::ostream& os) const;

@@ -124,7 +124,8 @@ class ThreadPool {
   /// worker_stats() of every live pool in the process, one outer entry per
   /// pool in construction order. Pools register themselves on construction
   /// and deregister before joining their workers, so every snapshot row
-  /// refers to a pool that is fully alive. Feeds the telemetry sampler.
+  /// refers to a pool that is fully alive. perfbench reads it to count
+  /// pool threads.
   [[nodiscard]] static std::vector<std::vector<WorkerStats>>
   stats_for_all_pools();
 
@@ -151,6 +152,14 @@ class ThreadPool {
   void submit_raw(void (*fn)(void*), void* ctx, std::size_t count);
 
   void worker_loop(std::size_t worker);
+
+  /// Adds one finished task's busy time to `worker`'s stats and to
+  /// util.threadpool.busy_ns. Caller holds mutex_.
+  void count_busy_locked(std::size_t worker, std::int64_t busy_ns);
+
+  /// parallel_for's raw task (ctx is its control block). Counts its own
+  /// busy time before releasing the caller.
+  static void parallel_for_task(void* ctx);
 
   friend void parallel_for(ThreadPool* pool, std::size_t n,
                            const std::function<void(std::size_t)>& fn);

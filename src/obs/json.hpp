@@ -1,6 +1,6 @@
 // The JSON vocabulary shared by every obs artifact writer and reader
-// (report, profile, timeseries, audit bundle, registry dump, log records,
-// Chrome trace): one string escaper, one number policy, one UTC timestamp
+// (report, profile, audit bundle, registry dump, log records, Chrome
+// trace): one string escaper, one number policy, one UTC timestamp
 // format, and a minimal recursive-descent reader with typed field access.
 // Header-only, no external dependency. Deliberately NOT installed under
 // include/ — the public surface is the parse_*/write_* functions of each

@@ -27,13 +27,6 @@ std::map<std::string, std::int64_t> MetricRegistry::counter_values() const {
   return out;
 }
 
-std::map<std::string, double> MetricRegistry::gauge_values() const {
-  std::lock_guard lock(mutex_);
-  std::map<std::string, double> out;
-  for (const auto& [name, g] : gauges_) out[name] = g->value();
-  return out;
-}
-
 void MetricRegistry::reset() {
   std::lock_guard lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();

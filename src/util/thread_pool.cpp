@@ -67,6 +67,7 @@ PoolRegistry& pool_registry() {
 }
 
 thread_local WorkerScratch* t_worker_scratch = nullptr;
+thread_local std::size_t t_worker_index = 0;
 
 }  // namespace
 
@@ -168,6 +169,7 @@ void ThreadPool::worker_loop(std::size_t worker) {
   // when the pool joins, reused by every task in between.
   WorkerScratch scratch;
   t_worker_scratch = &scratch;
+  t_worker_index = worker;
   for (;;) {
     Task task;
     {
@@ -199,17 +201,23 @@ void ThreadPool::worker_loop(std::size_t worker) {
     obs::prof_detail::flush_thread_allocs();
     {
       std::lock_guard lock(mutex_);
-      stats_[worker].busy_ns += busy;
-      stats_[worker].tasks += 1;
-      pool_metrics().busy_ns.add(busy);
-      --active_;
-      pool_metrics().active.set(static_cast<double>(active_));
       // Raw tasks (parallel_for) count themselves before releasing their
       // caller; counting them here would land after parallel_for returned.
-      if (task.raw == nullptr) pool_metrics().completed.add();
+      if (task.raw == nullptr) {
+        count_busy_locked(worker, busy);
+        pool_metrics().completed.add();
+      }
+      --active_;
+      pool_metrics().active.set(static_cast<double>(active_));
       if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
     }
   }
+}
+
+void ThreadPool::count_busy_locked(std::size_t worker, std::int64_t busy_ns) {
+  stats_[worker].busy_ns += busy_ns;
+  stats_[worker].tasks += 1;
+  pool_metrics().busy_ns.add(busy_ns);
 }
 
 namespace {
@@ -219,6 +227,7 @@ namespace {
 /// until every enqueued task has decremented `pending`, so the block always
 /// outlives its last reader.
 struct ParallelForCtl {
+  ThreadPool* pool = nullptr;
   const std::function<void(std::size_t)>* fn = nullptr;
   std::size_t n = 0;
   std::atomic<std::size_t> cursor{0};
@@ -229,7 +238,10 @@ struct ParallelForCtl {
   std::exception_ptr first_error;
 };
 
-void parallel_for_task(void* p) {
+}  // namespace
+
+void ThreadPool::parallel_for_task(void* p) {
+  const std::uint64_t busy_start = mono_ns();
   auto* ctl = static_cast<ParallelForCtl*>(p);
   for (;;) {
     // Once any worker threw, stop claiming items: the caller is about to
@@ -245,18 +257,21 @@ void parallel_for_task(void* p) {
       if (!ctl->first_error) ctl->first_error = std::current_exception();
     }
   }
-  // Publish this worker's allocation counts and its completed task before
-  // signalling, so counters read right after parallel_for returns include
-  // them.
+  // Publish this worker's allocation counts, its completed task and its
+  // busy time before signalling, so counters read right after
+  // parallel_for returns include them.
   obs::prof_detail::flush_thread_allocs();
   pool_metrics().completed.add();
+  {
+    std::lock_guard lock(ctl->pool->mutex_);
+    ctl->pool->count_busy_locked(
+        t_worker_index, static_cast<std::int64_t>(mono_ns() - busy_start));
+  }
   // Signal under the mutex so the caller cannot observe pending == 0 and
   // destroy the control block while this thread still holds a reference.
   std::lock_guard lock(ctl->mutex);
   if (--ctl->pending == 0) ctl->done_cv.notify_all();
 }
-
-}  // namespace
 
 void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
@@ -271,11 +286,12 @@ void parallel_for(ThreadPool* pool, std::size_t n,
   // the raw-task ctx pointer: no shared_ptr, no futures, no per-dispatch
   // heap traffic.
   ParallelForCtl ctl;
+  ctl.pool = pool;
   ctl.fn = &fn;
   ctl.n = n;
   const std::size_t workers = std::min(pool->size(), n);
   ctl.pending = workers;
-  pool->submit_raw(&parallel_for_task, &ctl, workers);
+  pool->submit_raw(&ThreadPool::parallel_for_task, &ctl, workers);
   std::unique_lock lock(ctl.mutex);
   ctl.done_cv.wait(lock, [&ctl] { return ctl.pending == 0; });
   // Every worker has finished fn before pending hits zero, so propagating

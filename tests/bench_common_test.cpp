@@ -40,8 +40,7 @@ TEST(BenchArgs, Defaults) {
 TEST(BenchArgs, ParsesEveryFlag) {
   const BenchArgs args =
       parse({"--trials=7", "--seed=42", "--threads=3", "--reps=5",
-             "--warmup=2", "--csv", "--json=out.json",
-             "--timeseries=ts.json", "--progress"});
+             "--warmup=2", "--csv", "--json=out.json"});
   EXPECT_EQ(args.trials, 7);
   EXPECT_EQ(args.seed, 42u);
   EXPECT_EQ(args.threads, 3u);
@@ -49,14 +48,6 @@ TEST(BenchArgs, ParsesEveryFlag) {
   EXPECT_EQ(args.warmup, 2);
   EXPECT_TRUE(args.csv_only);
   EXPECT_EQ(args.json_file, "out.json");
-  EXPECT_EQ(args.timeseries_file, "ts.json");
-  EXPECT_TRUE(args.progress);
-}
-
-TEST(BenchArgs, TelemetryDefaultsOff) {
-  const BenchArgs args = parse({});
-  EXPECT_TRUE(args.timeseries_file.empty());
-  EXPECT_FALSE(args.progress);
 }
 
 TEST(BenchArgs, BareJsonDerivesFilenameFromProgram) {
@@ -96,12 +87,15 @@ TEST(BenchArgsDeathTest, RejectsNegativeSeedInsteadOfWrapping) {
               "malformed value");
 }
 
-TEST(BenchArgsDeathTest, RejectsMalformedTelemetryFlags) {
-  // Unknown flags, such as an HTTP port, are refused rather than ignored.
+TEST(BenchArgsDeathTest, RejectsRemovedTelemetryFlags) {
+  // Flags of removed instruments (an HTTP port, the time-series sampler,
+  // live progress) are refused rather than ignored.
   EXPECT_EXIT(parse({"--metrics-port=0"}), testing::ExitedWithCode(2),
               "unknown option");
-  EXPECT_EXIT(parse({"--timeseries="}), testing::ExitedWithCode(2),
-              "malformed value");
+  EXPECT_EXIT(parse({"--timeseries=ts.json"}), testing::ExitedWithCode(2),
+              "unknown option");
+  EXPECT_EXIT(parse({"--progress"}), testing::ExitedWithCode(2),
+              "unknown option");
 }
 
 TEST(BenchArgsDeathTest, RejectsEmptyJsonFileAndUnknownFlags) {

@@ -15,7 +15,6 @@
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/prof.hpp"
 #include "gridsec/obs/report.hpp"
-#include "gridsec/obs/telemetry.hpp"
 #include "obs/json.hpp"
 
 namespace gridsec::obs {
@@ -128,40 +127,6 @@ TEST(NumberRoundTrip, Profile) {
     EXPECT_EQ(back->root.children[i].wall_ns, p.root.children[i].wall_ns);
     EXPECT_EQ(back->root.children[i].alloc_bytes,
               p.root.children[i].alloc_bytes);
-  }
-}
-
-TEST(NumberRoundTrip, Timeseries) {
-  Timeseries ts;
-  ts.cadence_ms = 1.0 / 3.0;
-  for (std::size_t i = 0; i < doubles().size(); ++i) {
-    const double v = doubles()[i];
-    TelemetrySample s;
-    s.t_seconds = v;
-    s.gauges["g"] = v;
-    s.counters["c"] = integers()[i % integers().size()];
-    ProgressSnapshot p;
-    p.name = "scope";
-    p.elapsed_seconds = p.rate_per_second = p.eta_seconds = v;
-    s.progress.push_back(p);
-    ts.samples.push_back(s);
-  }
-  std::ostringstream os;
-  write_timeseries_json(os, ts);
-  const auto back = parse_timeseries(os.str());
-  ASSERT_TRUE(back.is_ok()) << back.status().to_string();
-  expect_same(ts.cadence_ms, back->cadence_ms);
-  ASSERT_EQ(back->samples.size(), ts.samples.size());
-  for (std::size_t i = 0; i < ts.samples.size(); ++i) {
-    const TelemetrySample& w = ts.samples[i];
-    const TelemetrySample& r = back->samples[i];
-    expect_same(w.t_seconds, r.t_seconds);
-    expect_same(w.gauges.at("g"), r.gauges.at("g"));
-    EXPECT_EQ(w.counters.at("c"), r.counters.at("c"));
-    ASSERT_EQ(r.progress.size(), 1u);
-    expect_same(w.progress[0].eta_seconds, r.progress[0].eta_seconds);
-    expect_same(w.progress[0].rate_per_second,
-                r.progress[0].rate_per_second);
   }
 }
 

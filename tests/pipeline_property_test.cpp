@@ -10,7 +10,10 @@
 //   * collaborative >= individual on the same beliefs;
 //   * everything is deterministic per seed;
 //   * the impact matrix does not depend on whether simplex warm starts
-//     are on (the warm and cold solve paths agree).
+//     are on (the warm and cold solve paths agree);
+//   * metamorphic relations: a zero-budget adversary gains nothing, and
+//     doubling every price and cost doubles the impacts and the SA gain
+//     while leaving the attack and defense sets unchanged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -166,7 +169,142 @@ TEST_P(PipelineProperty, DeterministicEndToEnd) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Metamorphic relations: input transformations with a known effect on the
+// outputs. A certified LP of the wrong model passes every solve
+// certificate; these relations catch it at the pipeline level.
+
+/// The largest |IM[a,t]| or |system_impact(t)|.
+double largest_entry(const cps::ImpactMatrix& im) {
+  double scale = 0.0;
+  for (int t = 0; t < im.num_targets(); ++t) {
+    scale = std::max(scale, std::abs(im.system_impact(t)));
+    for (int a = 0; a < im.num_actors(); ++a) {
+      scale = std::max(scale, std::abs(im.at(a, t)));
+    }
+  }
+  return scale;
+}
+
+/// Every attack costs 1 and the budget is 0: the SA can afford nothing.
+void expect_zero_budget_gains_nothing(const cps::ImpactMatrix& im) {
+  core::AdversaryConfig cfg;
+  cfg.attack_cost.assign(static_cast<std::size_t>(im.num_targets()), 1.0);
+  cfg.budget = 0.0;
+  const core::AttackPlan plan = core::StrategicAdversary(cfg).plan(im);
+  EXPECT_TRUE(plan.optimal());
+  EXPECT_TRUE(plan.targets.empty());
+  EXPECT_EQ(plan.anticipated_return, 0.0);
+  EXPECT_EQ(core::realized_return(im, plan, cfg), 0.0);
+}
+
+/// Attack and defense sets for `im` when every attack and defense costs
+/// `unit` and the budgets are multiples of it. Attack beliefs are the SA
+/// plan itself (Pa = 1 on its targets).
+struct Plans {
+  core::AttackPlan attack;
+  core::DefensePlan individual;
+  core::DefensePlan collaborative;
+};
+
+Plans plan_with_unit_cost(const cps::ImpactMatrix& im,
+                          const cps::Ownership& own, double unit) {
+  const auto n_targets = static_cast<std::size_t>(im.num_targets());
+  core::AdversaryConfig adv;
+  adv.attack_cost.assign(n_targets, unit);
+  adv.budget = 2.0 * unit;
+  core::DefenderConfig def;
+  def.defense_cost.assign(n_targets, unit);
+  def.budget.assign(static_cast<std::size_t>(own.num_actors()), 2.0 * unit);
+  Plans out;
+  out.attack = core::StrategicAdversary(adv).plan(im);
+  std::vector<double> pa(n_targets, 0.0);
+  for (int t : out.attack.targets) pa[static_cast<std::size_t>(t)] = 1.0;
+  out.individual = core::defend_individual(im, own, pa, def);
+  out.collaborative = core::defend_collaborative(im, own, pa, def);
+  return out;
+}
+
+/// Doubling every edge cost (supply costs, demand prices, transport and
+/// conversion costs) and every attack/defense cost and budget doubles each
+/// IM[a,t], each system_impact(t) and the SA gain, to 1e-10 of the largest
+/// entry, and leaves the attack and defense sets unchanged. c = 2 keeps
+/// the scaled data exact.
+void expect_doubling_costs_doubles_impact(const flow::Network& net,
+                                          const cps::Ownership& own) {
+  constexpr double kC = 2.0;
+  flow::Network scaled = net;
+  for (int e = 0; e < scaled.num_edges(); ++e) {
+    scaled.set_cost(e, kC * scaled.edge(e).cost);
+  }
+  const auto base = cps::compute_impact_matrix(net, own);
+  const auto doubled = cps::compute_impact_matrix(scaled, own);
+  ASSERT_TRUE(base.is_ok());
+  ASSERT_TRUE(doubled.is_ok());
+  const cps::ImpactMatrix& im = base->matrix;
+  const cps::ImpactMatrix& im2 = doubled->matrix;
+  const double tol = 1e-10 * largest_entry(im2);
+  for (int t = 0; t < im.num_targets(); ++t) {
+    EXPECT_LE(std::abs(im2.system_impact(t) - kC * im.system_impact(t)), tol)
+        << "system impact, target " << t;
+    for (int a = 0; a < im.num_actors(); ++a) {
+      EXPECT_LE(std::abs(im2.at(a, t) - kC * im.at(a, t)), tol)
+          << "actor " << a << ", target " << t;
+    }
+  }
+
+  const Plans p = plan_with_unit_cost(im, own, 1.0);
+  const Plans p2 = plan_with_unit_cost(im2, own, kC);
+  ASSERT_TRUE(p.attack.optimal());
+  ASSERT_TRUE(p2.attack.optimal());
+  EXPECT_EQ(p2.attack.targets, p.attack.targets);
+  EXPECT_EQ(p2.attack.actors, p.attack.actors);
+  EXPECT_LE(std::abs(p2.attack.anticipated_return -
+                     kC * p.attack.anticipated_return),
+            tol);
+  ASSERT_TRUE(p.individual.optimal());
+  ASSERT_TRUE(p2.individual.optimal());
+  EXPECT_EQ(p2.individual.defended, p.individual.defended);
+  ASSERT_TRUE(p.collaborative.optimal());
+  ASSERT_TRUE(p2.collaborative.optimal());
+  EXPECT_EQ(p2.collaborative.defended, p.collaborative.defended);
+}
+
+TEST_P(PipelineProperty, ZeroBudgetAdversaryGainsNothing) {
+  auto p = make_pipeline(static_cast<std::uint64_t>(GetParam()) * 47 + 8, 3);
+  expect_zero_budget_gains_nothing(p.impact.matrix);
+}
+
+TEST_P(PipelineProperty, DoublingCostsDoublesImpactKeepsPlans) {
+  auto p = make_pipeline(static_cast<std::uint64_t>(GetParam()) * 53 + 9, 3);
+  expect_doubling_costs_doubles_impact(p.net, p.own);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty, ::testing::Range(0, 12));
+
+TEST(Metamorphic, WesternUsZeroBudgetAdversaryGainsNothing) {
+  const sim::WesternUsModel model = sim::build_western_us();
+  Rng rng(2015);
+  for (int actors = 2; actors <= 6; ++actors) {
+    const auto own =
+        cps::Ownership::random(model.network.num_edges(), actors, rng);
+    const auto impact = cps::compute_impact_matrix(model.network, own);
+    ASSERT_TRUE(impact.is_ok());
+    SCOPED_TRACE(std::to_string(actors) + " actors");
+    expect_zero_budget_gains_nothing(impact->matrix);
+  }
+}
+
+TEST(Metamorphic, WesternUsDoublingCostsDoublesImpactKeepsPlans) {
+  const sim::WesternUsModel model = sim::build_western_us();
+  Rng rng(2015);
+  for (int actors = 2; actors <= 6; ++actors) {
+    const auto own =
+        cps::Ownership::random(model.network.num_edges(), actors, rng);
+    SCOPED_TRACE(std::to_string(actors) + " actors");
+    expect_doubling_costs_doubles_impact(model.network, own);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Warm/cold path independence: every IM[a,t] and system_impact(t) must be
@@ -212,14 +350,7 @@ void expect_path_independent(const flow::Network& net,
   const cps::ImpactMatrix& c = cold.matrix;
   ASSERT_EQ(w.num_actors(), c.num_actors());
   ASSERT_EQ(w.num_targets(), c.num_targets());
-  double scale = 0.0;
-  for (int t = 0; t < w.num_targets(); ++t) {
-    scale = std::max(scale, std::abs(w.system_impact(t)));
-    for (int a = 0; a < w.num_actors(); ++a) {
-      scale = std::max(scale, std::abs(w.at(a, t)));
-    }
-  }
-  const double tol = 1e-10 * scale;
+  const double tol = 1e-10 * largest_entry(w);
   for (int t = 0; t < w.num_targets(); ++t) {
     EXPECT_LE(std::abs(w.system_impact(t) - c.system_impact(t)), tol)
         << "system impact, target " << t;

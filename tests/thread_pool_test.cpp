@@ -298,5 +298,42 @@ TEST(ParallelFor, TasksCompletedCountedBeforeReturn) {
   EXPECT_EQ(short_reps, 0);
 }
 
+TEST(ParallelFor, BusyTimeCountedBeforeReturn) {
+  // Every item times itself; each item runs inside one worker's task, so
+  // by the time parallel_for returns, util.threadpool.busy_ns and the
+  // per-worker busy totals must have grown by at least the items' summed
+  // time. Items are a few microseconds long so the caller often wakes
+  // while the last worker is still on its way out of the task.
+  ThreadPool pool(4);
+  const obs::Counter& busy =
+      obs::default_registry().counter("util.threadpool.busy_ns");
+  const auto worker_busy = [&pool] {
+    std::int64_t total = 0;
+    for (const auto& w : pool.worker_stats()) total += w.busy_ns;
+    return total;
+  };
+  int short_reps = 0;
+  for (int rep = 0; rep < 20000; ++rep) {
+    std::atomic<std::int64_t> item_ns{0};
+    const std::int64_t before = busy.value();
+    const std::int64_t worker_before = worker_busy();
+    parallel_for(&pool, 8, [&item_ns](std::size_t) {
+      const auto start = std::chrono::steady_clock::now();
+      auto now = start;
+      while (now - start < std::chrono::microseconds(2)) {
+        now = std::chrono::steady_clock::now();
+      }
+      item_ns.fetch_add(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(now - start)
+              .count());
+    });
+    if (busy.value() - before < item_ns.load() ||
+        worker_busy() - worker_before < item_ns.load()) {
+      ++short_reps;
+    }
+  }
+  EXPECT_EQ(short_reps, 0);
+}
+
 }  // namespace
 }  // namespace gridsec

@@ -1,10 +1,9 @@
-// gridsec-inspect — render and validate gridsec.audit_bundle artifacts,
-// gridsec.profile self-profiles, and gridsec.timeseries telemetry.
+// gridsec-inspect — render and validate gridsec.audit_bundle artifacts and
+// gridsec.profile self-profiles.
 //
 //   gridsec-inspect [options] BUNDLE.json       human-readable solve narrative
 //   gridsec-inspect --validate BUNDLE.json      recompute the certificate
 //   gridsec-inspect profile [options] PROF.json rank phases by exclusive cost
-//   gridsec-inspect top TIMESERIES.json         render a recorded timeseries
 //
 // Profile mode options:
 //   --top=N             rows to show (default 10)
@@ -38,7 +37,6 @@
 
 #include "gridsec/obs/audit.hpp"
 #include "gridsec/obs/prof.hpp"
-#include "gridsec/obs/telemetry.hpp"
 #include "gridsec/util/table.hpp"
 
 namespace {
@@ -51,8 +49,7 @@ int usage() {
       "usage: gridsec-inspect [--tail=N] [--quiet] BUNDLE.json\n"
       "       gridsec-inspect --validate BUNDLE.json\n"
       "       gridsec-inspect profile [--top=N] "
-      "[--weight=wall|cpu|allocs|bytes] PROF.json\n"
-      "       gridsec-inspect top TIMESERIES.json\n");
+      "[--weight=wall|cpu|allocs|bytes] PROF.json\n");
   return 2;
 }
 
@@ -259,138 +256,11 @@ int cmd_profile(int argc, char** argv) {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// `top` mode: render a gridsec.timeseries artifact as a terminal table.
-
-std::string format_rate(double per_second) {
-  return format_double(per_second, 1) + "/s";
-}
-
-std::string format_eta(double eta_seconds) {
-  if (eta_seconds < 0.0) return "?";
-  return format_double(eta_seconds, 1) + "s";
-}
-
-void print_progress_rows(const std::vector<obs::ProgressSnapshot>& rows) {
-  if (rows.empty()) return;
-  std::printf("\nprogress:\n");
-  Table t({"scope", "done", "total", "rate", "eta", ""});
-  for (const obs::ProgressSnapshot& p : rows) {
-    t.add_row({p.name, std::to_string(p.done),
-               p.total > 0 ? std::to_string(p.total) : "?",
-               format_rate(p.rate_per_second), format_eta(p.eta_seconds),
-               p.stalled ? "STALLED" : ""});
-  }
-  t.print(std::cout);
-}
-
-/// Renders one recorded timeseries: header, counter rates over the final
-/// inter-sample window, gauges, worker utilization, and progress scopes.
-int top_file(const std::string& file) {
-  std::ifstream in(file);
-  if (!in) {
-    std::fprintf(stderr, "gridsec-inspect: cannot open '%s'\n", file.c_str());
-    return 2;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const StatusOr<obs::Timeseries> loaded = obs::parse_timeseries(buf.str());
-  if (!loaded.is_ok()) {
-    std::fprintf(stderr, "gridsec-inspect: %s: %s\n", file.c_str(),
-                 loaded.status().to_string().c_str());
-    return 2;
-  }
-  const obs::Timeseries& ts = loaded.value();
-  std::printf(
-      "gridsec.timeseries v%d — started %s, cadence %s ms, %zu samples "
-      "(%llu dropped)\n",
-      ts.schema_version, ts.start_time_utc.c_str(),
-      format_double(ts.cadence_ms, 1).c_str(), ts.samples.size(),
-      static_cast<unsigned long long>(ts.dropped));
-  std::printf("build: %s %s %s\n", ts.git_sha.c_str(),
-              ts.build_type.c_str(), ts.compiler.c_str());
-  if (ts.samples.empty()) return 0;
-
-  const obs::TelemetrySample& last = ts.samples.back();
-  const obs::TelemetrySample* prev =
-      ts.samples.size() >= 2 ? &ts.samples[ts.samples.size() - 2] : nullptr;
-  const double dt = prev != nullptr ? last.t_seconds - prev->t_seconds : 0.0;
-  std::printf("window: t=%s s%s\n", format_double(last.t_seconds, 3).c_str(),
-              prev != nullptr
-                  ? (" (rates over the last " + format_double(dt, 3) + " s)")
-                        .c_str()
-                  : "");
-
-  std::printf("\ncounters:\n");
-  Table counters({"counter", "value", "rate"});
-  for (const auto& [name, value] : last.counters) {
-    double rate = 0.0;
-    if (prev != nullptr && dt > 0.0) {
-      const auto it = prev->counters.find(name);
-      const std::int64_t before = it != prev->counters.end() ? it->second : 0;
-      rate = static_cast<double>(value - before) / dt;
-    }
-    counters.add_row({name, std::to_string(value), format_rate(rate)});
-  }
-  counters.print(std::cout);
-
-  if (!last.gauges.empty()) {
-    std::printf("\ngauges:\n");
-    Table gauges({"gauge", "value"});
-    for (const auto& [name, value] : last.gauges) {
-      gauges.add_row({name, format_double(value, 6)});
-    }
-    gauges.print(std::cout);
-  }
-
-  if (!last.workers.empty()) {
-    std::printf("\nworkers:\n");
-    Table workers({"pool", "worker", "busy (ms)", "util", "tasks"});
-    for (const obs::WorkerSample& w : last.workers) {
-      const double busy_ms = static_cast<double>(w.busy_ns) / 1e6;
-      const double total_ns = static_cast<double>(w.busy_ns + w.idle_ns);
-      const double util =
-          total_ns > 0.0 ? 100.0 * static_cast<double>(w.busy_ns) / total_ns
-                         : 0.0;
-      workers.add_row({std::to_string(w.pool), std::to_string(w.worker),
-                       format_double(busy_ms, 1),
-                       format_double(util, 1) + "%",
-                       std::to_string(w.tasks)});
-    }
-    workers.print(std::cout);
-  }
-
-  print_progress_rows(last.progress);
-  return 0;
-}
-
-int cmd_top(int argc, char** argv) {
-  std::vector<std::string> files;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      usage();
-      return 0;
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "gridsec-inspect: unknown option '%s'\n",
-                   a.c_str());
-      return usage();
-    } else {
-      files.push_back(a);
-    }
-  }
-  if (files.size() != 1) return usage();
-  return top_file(files[0]);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "profile") == 0) {
     return cmd_profile(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "top") == 0) {
-    return cmd_top(argc, argv);
   }
   bool validate_only = false;
   bool quiet = false;
