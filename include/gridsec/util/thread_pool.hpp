@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -105,12 +104,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Enqueues a task; the future resolves when it completes.
-  std::future<void> submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has finished.
-  void wait_idle();
-
   /// The scratch slot of the pool worker executing the current thread, or
   /// nullptr when the calling thread is not a pool worker. Thread-local;
   /// valid for the duration of the current task.
@@ -130,21 +123,10 @@ class ThreadPool {
   stats_for_all_pools();
 
  private:
-  /// One queue entry: either a raw function-pointer task (the allocation-
-  /// free parallel_for path; must not throw) or a packaged_task from
-  /// submit() (exceptions land in its future).
+  /// One queue entry: a raw function-pointer task (must not throw).
   struct Task {
-    void (*raw)(void*) = nullptr;
+    void (*fn)(void*) = nullptr;
     void* ctx = nullptr;
-    std::packaged_task<void()> packaged;
-
-    void run() {
-      if (raw != nullptr) {
-        raw(ctx);
-      } else {
-        packaged();
-      }
-    }
   };
 
   /// Enqueues `count` copies of a raw task. The callee owns all
@@ -168,7 +150,6 @@ class ThreadPool {
   std::deque<Task> queue_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::condition_variable idle_cv_;
   std::size_t active_ = 0;
   bool stop_ = false;
   std::vector<WorkerStats> stats_;          // indexed by worker, under mutex_

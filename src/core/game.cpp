@@ -1,6 +1,7 @@
 #include "gridsec/core/game.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "gridsec/obs/log.hpp"
 #include "gridsec/obs/metrics.hpp"
@@ -61,8 +62,10 @@ StatusOr<GameOutcome> play_defense_game(const flow::Network& truth,
 
   // One warm-start chain through the whole round: every impact matrix in a
   // game is computed over a (noisy) view of the same topology, so each
-  // solve's base basis seeds the next phase's base solve — and one welfare
-  // model serves every solve in the round (perturb_knowledge never changes
+  // matrix's base basis seeds the next one's base solve: defender view(s),
+  // then adversary view, then truth. Each Pa estimate starts from its
+  // defender view's basis and chains its own samples. One welfare model
+  // serves every solve in the round (perturb_knowledge never changes
   // topology, so after the first build each sync is an in-place refresh).
   cps::ImpactOptions impact = config.impact;
   flow::SocialWelfareModel round_model;
@@ -70,20 +73,47 @@ StatusOr<GameOutcome> play_defense_game(const flow::Network& truth,
     impact.allocation.model = &round_model;
   }
 
+  // perturb_knowledge at sigma = 0 is an exact copy that draws no random
+  // numbers, so a noiseless view is the truth itself. The game computes the
+  // truth matrix once: the first noiseless view fills `truth_im`, and later
+  // noiseless views and the realization (step 5) read it.
+  std::optional<cps::ImpactResult> truth_im;
+  // One actor's view and its impact matrix; a noisy view owns both.
+  struct View {
+    flow::Network noisy;
+    std::optional<cps::ImpactResult> noisy_im;
+    const flow::Network* net = nullptr;
+    const cps::ImpactMatrix* matrix = nullptr;
+  };
+  // Draws a view under `noise`, computes its matrix unless it is the truth's
+  // and already known, and carries the matrix's base basis down the chain.
+  const auto draw_view = [&](const cps::NoiseSpec& noise, View& v) -> Status {
+    const bool exact = noise.sigma == 0.0;
+    if (!exact) v.noisy = cps::perturb_knowledge(truth, noise, rng);
+    v.net = exact ? &truth : &v.noisy;
+    std::optional<cps::ImpactResult>& slot = exact ? truth_im : v.noisy_im;
+    if (!slot) {
+      auto im = cps::compute_impact_matrix(*v.net, ownership, impact);
+      if (!im.is_ok()) return im.status();
+      slot = std::move(im.value());
+    }
+    impact.warm_start = slot->base_basis;
+    v.matrix = &slot->matrix;
+    return Status::ok();
+  };
+
   {  // Defender phase (steps 1-3); the span closes before the SA plans.
   GRIDSEC_TRACE_SPAN("core.game.defender_phase");
   if (!config.per_defender_views) {
-    // 1. One shared noisy view and its impact matrix I'.
-    flow::Network defender_view =
-        cps::perturb_knowledge(truth, config.defender_noise, rng);
-    auto defender_im =
-        cps::compute_impact_matrix(defender_view, ownership, impact);
-    if (!defender_im.is_ok()) return defender_im.status();
-    impact.warm_start = defender_im->base_basis;
+    // 1. One shared view and its impact matrix I'.
+    View view;
+    if (Status s = draw_view(config.defender_noise, view); !s.is_ok()) {
+      return s;
+    }
 
     // 2. Attack-probability estimate via the defender's SA model on I''.
     auto pa = estimate_attack_probabilities(
-        defender_view, ownership, config.adversary,
+        *view.net, ownership, config.adversary,
         config.speculated_adversary_noise, config.pa_samples, rng, impact);
     if (!pa.is_ok()) return pa.status();
     out.pa = std::move(pa.value());
@@ -91,9 +121,9 @@ StatusOr<GameOutcome> play_defense_game(const flow::Network& truth,
     // 3. Defensive investment on the defender's beliefs.
     out.defense =
         config.collaborative
-            ? defend_collaborative(defender_im->matrix, ownership, out.pa,
+            ? defend_collaborative(*view.matrix, ownership, out.pa,
                                    config.defender)
-            : defend_individual(defender_im->matrix, ownership, out.pa,
+            : defend_individual(*view.matrix, ownership, out.pa,
                                 config.defender);
   } else {
     // 1-2. Each defender draws its own view, beliefs, and Pa estimate.
@@ -103,16 +133,15 @@ StatusOr<GameOutcome> play_defense_game(const flow::Network& truth,
     std::vector<std::vector<double>> pa_rows;
     pa_rows.reserve(static_cast<std::size_t>(ownership.num_actors()));
     for (int a = 0; a < ownership.num_actors(); ++a) {
-      flow::Network view =
-          cps::perturb_knowledge(truth, config.defender_noise, rng);
-      auto im_a = cps::compute_impact_matrix(view, ownership, impact);
-      if (!im_a.is_ok()) return im_a.status();
-      impact.warm_start = im_a->base_basis;
+      View view;
+      if (Status s = draw_view(config.defender_noise, view); !s.is_ok()) {
+        return s;
+      }
       for (int t = 0; t < truth.num_edges(); ++t) {
-        composite.set(a, t, im_a->matrix.at(a, t));
+        composite.set(a, t, view.matrix->at(a, t));
       }
       auto pa_a = estimate_attack_probabilities(
-          view, ownership, config.adversary,
+          *view.net, ownership, config.adversary,
           config.speculated_adversary_noise, config.pa_samples, rng, impact);
       if (!pa_a.is_ok()) return pa_a.status();
       pa_rows.push_back(std::move(pa_a.value()));
@@ -142,31 +171,29 @@ StatusOr<GameOutcome> play_defense_game(const flow::Network& truth,
   // 4. The actual adversary plans on its own view.
   {
     GRIDSEC_TRACE_SPAN("core.game.adversary_phase");
-    flow::Network adversary_view =
-        cps::perturb_knowledge(truth, config.adversary_noise, rng);
-    auto adversary_im =
-        cps::compute_impact_matrix(adversary_view, ownership, impact);
-    if (!adversary_im.is_ok()) return adversary_im.status();
-    impact.warm_start = adversary_im->base_basis;
+    View view;
+    if (Status s = draw_view(config.adversary_noise, view); !s.is_ok()) {
+      return s;
+    }
     StrategicAdversary sa(config.adversary);
-    out.attack = sa.plan(adversary_im->matrix);
+    out.attack = sa.plan(*view.matrix);
     // A budget-limited plan is a feasible (just unproven) attack — keep it.
     if (!out.attack.optimal() && !lp::is_budget_limited(out.attack.status)) {
       return lp::to_status(out.attack.status, "play_defense_game: adversary");
     }
   }
 
-  // 5. Realize the attack against the ground truth, with and without the
-  // defense in place.
-  auto truth_im = cps::compute_impact_matrix(truth, ownership, impact);
-  if (!truth_im.is_ok()) return truth_im.status();
+  // 5. Realize the attack against the ground truth (the noiseless view),
+  // with and without the defense in place.
+  View real;
+  if (Status s = draw_view(cps::NoiseSpec{}, real); !s.is_ok()) return s;
   const std::vector<bool> no_defense(
       static_cast<std::size_t>(truth.num_edges()), false);
   out.adversary_gain_undefended = evaluate_attack_with_defense(
-      truth_im->matrix, out.attack, config.adversary, no_defense, 0.0,
+      *real.matrix, out.attack, config.adversary, no_defense, 0.0,
       &out.actor_impact_undefended);
   out.adversary_gain_defended = evaluate_attack_with_defense(
-      truth_im->matrix, out.attack, config.adversary, out.defense.defended,
+      *real.matrix, out.attack, config.adversary, out.defense.defended,
       config.mitigation, &out.actor_impact_defended);
   out.defense_effectiveness =
       out.adversary_gain_undefended - out.adversary_gain_defended;

@@ -1,6 +1,7 @@
 #include "gridsec/core/repeated_game.hpp"
 
 #include <algorithm>
+#include <optional>
 
 namespace gridsec::core {
 
@@ -34,13 +35,24 @@ StatusOr<RepeatedGameResult> play_repeated_game(
   auto truth_im = cps::compute_impact_matrix(truth, ownership, impact);
   if (!truth_im.is_ok()) return truth_im.status();
 
+  // perturb_knowledge at sigma = 0 is an exact copy that draws no random
+  // numbers, so a noiseless view is the truth itself and reads truth_im.
+  const bool exact_defender = game.defender_noise.sigma == 0.0;
+  const bool exact_adversary = game.adversary_noise.sigma == 0.0;
+
   // Round 0 beliefs: the defender's one-shot model-based estimate, from its
   // noisy view (same procedure as the one-shot game).
-  flow::Network defender_view =
-      cps::perturb_knowledge(truth, game.defender_noise, rng);
-  auto defender_im =
-      cps::compute_impact_matrix(defender_view, ownership, impact);
-  if (!defender_im.is_ok()) return defender_im.status();
+  flow::Network noisy_view;
+  std::optional<cps::ImpactResult> noisy_im;
+  if (!exact_defender) {
+    noisy_view = cps::perturb_knowledge(truth, game.defender_noise, rng);
+    auto im = cps::compute_impact_matrix(noisy_view, ownership, impact);
+    if (!im.is_ok()) return im.status();
+    noisy_im = std::move(im.value());
+  }
+  const flow::Network& defender_view = exact_defender ? truth : noisy_view;
+  const cps::ImpactMatrix& defender_matrix =
+      exact_defender ? truth_im->matrix : noisy_im->matrix;
   auto pa0 = estimate_attack_probabilities(
       defender_view, ownership, game.adversary,
       game.speculated_adversary_noise, game.pa_samples, rng, impact);
@@ -55,20 +67,24 @@ StatusOr<RepeatedGameResult> play_repeated_game(
     RoundOutcome ro;
     // Defender invests on current beliefs.
     ro.defense = game.collaborative
-                     ? defend_collaborative(defender_im->matrix, ownership,
-                                            pa, game.defender)
-                     : defend_individual(defender_im->matrix, ownership, pa,
+                     ? defend_collaborative(defender_matrix, ownership, pa,
+                                            game.defender)
+                     : defend_individual(defender_matrix, ownership, pa,
                                          game.defender);
     if (!ro.defense.optimal()) {
       return Status::internal("play_repeated_game: defense MILP failed");
     }
 
-    // Adversary strikes from a fresh noisy view.
-    flow::Network adv_view =
-        cps::perturb_knowledge(truth, game.adversary_noise, rng);
-    auto adv_im = cps::compute_impact_matrix(adv_view, ownership, impact);
-    if (!adv_im.is_ok()) return adv_im.status();
-    ro.attack = sa.plan(adv_im->matrix);
+    // Adversary strikes from a fresh view (the truth when noiseless).
+    if (exact_adversary) {
+      ro.attack = sa.plan(truth_im->matrix);
+    } else {
+      flow::Network adv_view =
+          cps::perturb_knowledge(truth, game.adversary_noise, rng);
+      auto adv_im = cps::compute_impact_matrix(adv_view, ownership, impact);
+      if (!adv_im.is_ok()) return adv_im.status();
+      ro.attack = sa.plan(adv_im->matrix);
+    }
     if (ro.attack.status == lp::SolveStatus::kInfeasible ||
         ro.attack.status == lp::SolveStatus::kUnbounded) {
       return Status::internal("play_repeated_game: adversary plan failed");

@@ -80,18 +80,27 @@ std::vector<AdversaryNoisePoint> experiment_adversary_noise(
           cps::ImpactOptions impact = options.impact;
           auto truth = cps::compute_impact_matrix(net, own, impact);
           if (!truth.is_ok()) return truth.status();
-          impact.warm_start = std::move(truth->base_basis);
+          impact.warm_start = truth->base_basis;
           Trial t;
           for (double sigma : config.sigmas) {
-            cps::NoiseSpec noise;
-            noise.sigma = sigma;
-            flow::Network view = cps::perturb_knowledge(net, noise, rng);
-            auto believed = cps::compute_impact_matrix(view, own, impact);
-            if (!believed.is_ok()) return believed.status();
-            // Each sigma step perturbs the same topology; the previous
-            // step's basis is the closest warm start for the next.
-            impact.warm_start = std::move(believed->base_basis);
-            core::AttackPlan plan = sa.plan(believed->matrix);
+            // A noiseless view is the truth itself (perturb_knowledge draws
+            // nothing at sigma = 0): plan on the truth matrix, and carry its
+            // basis to the next sigma step as a computed view would.
+            core::AttackPlan plan;
+            if (sigma == 0.0) {
+              impact.warm_start = truth->base_basis;
+              plan = sa.plan(truth->matrix);
+            } else {
+              cps::NoiseSpec noise;
+              noise.sigma = sigma;
+              flow::Network view = cps::perturb_knowledge(net, noise, rng);
+              auto believed = cps::compute_impact_matrix(view, own, impact);
+              if (!believed.is_ok()) return believed.status();
+              // Each sigma step perturbs the same topology; the previous
+              // step's basis is the closest warm start for the next.
+              impact.warm_start = std::move(believed->base_basis);
+              plan = sa.plan(believed->matrix);
+            }
             if (!plan.optimal() && !lp::is_budget_limited(plan.status)) {
               return lp::to_status(plan.status,
                                    "experiment_adversary_noise: SA plan");

@@ -117,36 +117,17 @@ ThreadPool::stats_for_all_pools() {
   return out;
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> pt(std::move(task));
-  auto fut = pt.get_future();
-  {
-    std::lock_guard lock(mutex_);
-    GRIDSEC_ASSERT_MSG(!stop_, "submit after shutdown");
-    queue_.push_back(Task{nullptr, nullptr, std::move(pt)});
-    pool_metrics().queue_depth.set(static_cast<double>(queue_.size()));
-    pool_metrics().submitted.add();
-  }
-  cv_.notify_one();
-  return fut;
-}
-
 void ThreadPool::submit_raw(void (*fn)(void*), void* ctx, std::size_t count) {
   {
     std::lock_guard lock(mutex_);
     GRIDSEC_ASSERT_MSG(!stop_, "submit after shutdown");
     for (std::size_t i = 0; i < count; ++i) {
-      queue_.push_back(Task{fn, ctx, {}});
+      queue_.push_back(Task{fn, ctx});
     }
     pool_metrics().queue_depth.set(static_cast<double>(queue_.size()));
     pool_metrics().submitted.add(static_cast<std::int64_t>(count));
   }
   cv_.notify_all();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
 std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
@@ -191,25 +172,14 @@ void ThreadPool::worker_loop(std::size_t worker) {
       pool_metrics().queue_depth.set(static_cast<double>(queue_.size()));
       pool_metrics().active.set(static_cast<double>(active_));
     }
-    const std::uint64_t busy_start = mono_ns();
-    // Raw tasks own their error signalling; packaged tasks capture
-    // exceptions in their future.
-    task.run();
-    const auto busy = static_cast<std::int64_t>(mono_ns() - busy_start);
-    // Fold this worker's allocation counts into the process totals at the
-    // task boundary — the hooks themselves only touch thread_locals.
-    obs::prof_detail::flush_thread_allocs();
+    // The task counts its own busy time and allocations before releasing
+    // its caller (see parallel_for_task); counting here would land after
+    // parallel_for returned.
+    task.fn(task.ctx);
     {
       std::lock_guard lock(mutex_);
-      // Raw tasks (parallel_for) count themselves before releasing their
-      // caller; counting them here would land after parallel_for returned.
-      if (task.raw == nullptr) {
-        count_busy_locked(worker, busy);
-        pool_metrics().completed.add();
-      }
       --active_;
       pool_metrics().active.set(static_cast<double>(active_));
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
     }
   }
 }

@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "gridsec/obs/metrics.hpp"
 #include "gridsec/sim/western_us.hpp"
 
 namespace gridsec::sim {
@@ -88,6 +89,22 @@ TEST(ExperimentAdversaryNoise, Figure4OverconfidenceGap) {
   EXPECT_NEAR(gap0, 0.0, 1e-6);
   EXPECT_GT(gap4, 0.0);
   EXPECT_GT(points[1].anticipated, points[1].observed);
+}
+
+TEST(ExperimentAdversaryNoise, NoiselessStepPlansOnTheTruthMatrix) {
+  // Each trial computes its truth matrix plus one matrix per sigma > 0; a
+  // sigma = 0 step, wherever it sits in the grid, plans on the truth.
+  AdversaryNoiseConfig cfg;
+  cfg.actor_counts = {4};
+  cfg.sigmas = {0.2, 0.0, 0.4};
+  obs::Counter& computes =
+      obs::default_registry().counter("cps.impact.matrix_computes");
+  const std::int64_t before = computes.value();
+  auto points = experiment_adversary_noise(western(), cfg, fast_options(3));
+  EXPECT_EQ(computes.value() - before, 3 * (1 + 2));
+  ASSERT_EQ(points.size(), 3u);
+  EXPECT_EQ(points[1].failed_trials, 0);
+  EXPECT_NEAR(points[1].anticipated, points[1].observed, 1e-6);
 }
 
 TEST(ExperimentDefense, Figure5NoiseDegradesDefense) {

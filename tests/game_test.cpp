@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "gridsec/obs/metrics.hpp"
+#include "gridsec/sim/western_us.hpp"
+
 namespace gridsec::core {
 namespace {
 
@@ -141,6 +147,138 @@ TEST(Game, PerDefenderViewsDeterministic) {
   ASSERT_TRUE(gb.is_ok());
   EXPECT_EQ(ga->defense.defended, gb->defense.defended);
   EXPECT_DOUBLE_EQ(ga->defense_effectiveness, gb->defense_effectiveness);
+}
+
+// ---------------------------------------------------------------------------
+// One truth matrix per game: a noiseless (sigma = 0) view is the truth, so
+// its matrix is computed once and shared by every such view and by the
+// realization.
+
+/// A Fig 5-style game on western_us: single-target perfect-knowledge
+/// adversary, 5 Pa samples, individual defense under a 12-asset budget.
+GameConfig western_us_config(int n_edges, int n_actors, double defender_sigma,
+                             double adversary_sigma) {
+  GameConfig cfg;
+  cfg.adversary.max_targets = 1;
+  cfg.defender.defense_cost.assign(static_cast<std::size_t>(n_edges), 2000.0);
+  cfg.defender.budget.assign(static_cast<std::size_t>(n_actors),
+                             12.0 * 2000.0 / n_actors);
+  cfg.defender_noise.sigma = defender_sigma;
+  cfg.speculated_adversary_noise.sigma = 0.2;
+  cfg.adversary_noise.sigma = adversary_sigma;
+  cfg.pa_samples = 5;
+  return cfg;
+}
+
+std::int64_t matrix_computes() {
+  return obs::default_registry()
+      .counter("cps.impact.matrix_computes")
+      .value();
+}
+
+/// Plays one game and checks that it computed `expected_computes` impact
+/// matrices, and that its realized gains and actor impacts equal the same
+/// attack and defense evaluated on a freshly computed truth matrix, to
+/// 1e-10 of that matrix's largest entry.
+void expect_game(const flow::Network& net, const cps::Ownership& own,
+                 const GameConfig& cfg, std::uint64_t seed,
+                 std::int64_t expected_computes) {
+  Rng rng(seed);
+  const std::int64_t before = matrix_computes();
+  auto game = play_defense_game(net, own, cfg, rng);
+  EXPECT_EQ(matrix_computes() - before, expected_computes);
+  ASSERT_TRUE(game.is_ok());
+
+  const auto truth = cps::compute_impact_matrix(net, own);
+  ASSERT_TRUE(truth.is_ok());
+  double scale = 0.0;
+  for (int t = 0; t < truth->matrix.num_targets(); ++t) {
+    for (int a = 0; a < truth->matrix.num_actors(); ++a) {
+      scale = std::max(scale, std::abs(truth->matrix.at(a, t)));
+    }
+  }
+  const double tol = 1e-10 * scale;
+  const std::vector<bool> no_defense(
+      static_cast<std::size_t>(net.num_edges()), false);
+  std::vector<double> undefended, defended;
+  const double gain_undefended = evaluate_attack_with_defense(
+      truth->matrix, game->attack, cfg.adversary, no_defense, 0.0,
+      &undefended);
+  const double gain_defended = evaluate_attack_with_defense(
+      truth->matrix, game->attack, cfg.adversary, game->defense.defended,
+      cfg.mitigation, &defended);
+  EXPECT_LE(std::abs(game->adversary_gain_undefended - gain_undefended), tol);
+  EXPECT_LE(std::abs(game->adversary_gain_defended - gain_defended), tol);
+  ASSERT_EQ(game->actor_impact_undefended.size(), undefended.size());
+  ASSERT_EQ(game->actor_impact_defended.size(), defended.size());
+  for (std::size_t a = 0; a < undefended.size(); ++a) {
+    EXPECT_LE(std::abs(game->actor_impact_undefended[a] - undefended[a]), tol)
+        << "actor " << a;
+    EXPECT_LE(std::abs(game->actor_impact_defended[a] - defended[a]), tol)
+        << "actor " << a;
+  }
+}
+
+TEST(GameTruthMatrix, NoiselessViewsReuseTheTruthMatrix) {
+  // Defender view + 5 Pa samples + adversary view + truth = 8 matrices;
+  // each noiseless view folds into the one truth matrix.
+  const sim::WesternUsModel model = sim::build_western_us();
+  const flow::Network& net = model.network;
+  Rng own_rng(2015);
+  for (int actors : {2, 4, 6}) {
+    SCOPED_TRACE(std::to_string(actors) + " actors");
+    const auto own = cps::Ownership::random(net.num_edges(), actors, own_rng);
+    const auto expect_computes = [&](double defender_sigma,
+                                     double adversary_sigma,
+                                     std::int64_t expected) {
+      SCOPED_TRACE("sigma " + std::to_string(defender_sigma) + " / " +
+                   std::to_string(adversary_sigma));
+      expect_game(net, own,
+                  western_us_config(net.num_edges(), actors, defender_sigma,
+                                    adversary_sigma),
+                  static_cast<std::uint64_t>(actors), expected);
+    };
+    expect_computes(0.1, 0.1, 8);
+    expect_computes(0.1, 0.0, 7);
+    expect_computes(0.0, 0.1, 7);
+    expect_computes(0.0, 0.0, 6);
+  }
+}
+
+TEST(GameTruthMatrix, PerDefenderNoiselessViewsShareOneMatrix) {
+  // With per-defender views at sigma = 0 every actor's view is the truth:
+  // one truth matrix plus each actor's 5 Pa samples.
+  const sim::WesternUsModel model = sim::build_western_us();
+  const flow::Network& net = model.network;
+  Rng own_rng(7);
+  const int actors = 3;
+  const auto own = cps::Ownership::random(net.num_edges(), actors, own_rng);
+  GameConfig cfg = western_us_config(net.num_edges(), actors, 0.0, 0.0);
+  cfg.per_defender_views = true;
+  expect_game(net, own, cfg, 11, 1 + actors * 5);
+  cfg.defender_noise.sigma = 0.1;
+  expect_game(net, own, cfg, 11, actors * (1 + 5) + 1);
+}
+
+TEST(GameTruthMatrix, NoiselessViewDrawsNoRandomNumbers) {
+  // Skipping perturb_knowledge at sigma = 0 must leave the noise of every
+  // later draw unchanged: a game whose noiseless adversary reads the truth
+  // matrix ends with the same RNG state as one that draws the copy.
+  flow::Network net = duopoly();
+  cps::Ownership own({0, 1, 2}, 3);
+  GameConfig cfg = perfect_information_config(net.num_edges(), 3);
+  cfg.defender_noise.sigma = 0.2;
+  cfg.speculated_adversary_noise.sigma = 0.2;
+  cfg.pa_samples = 3;
+  Rng played(21);
+  ASSERT_TRUE(play_defense_game(net, own, cfg, played).is_ok());
+  Rng drawn(21);
+  (void)cps::perturb_knowledge(net, cfg.defender_noise, drawn);
+  for (int s = 0; s < cfg.pa_samples; ++s) {
+    (void)cps::perturb_knowledge(net, cfg.speculated_adversary_noise, drawn);
+  }
+  (void)cps::perturb_knowledge(net, cfg.adversary_noise, drawn);
+  EXPECT_EQ(played.next(), drawn.next());
 }
 
 TEST(EvaluateAttackWithDefense, MixedDefenseCoverage) {

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -120,11 +119,7 @@ TEST(Tracer, WorkerThreadSpansGetDistinctTids) {
   Tracer::start();
   {
     ThreadPool pool(2);
-    std::vector<std::future<void>> futs;
-    for (int i = 0; i < 8; ++i) {
-      futs.push_back(pool.submit([] { GRIDSEC_TRACE_SPAN("t.worker"); }));
-    }
-    for (auto& f : futs) f.get();
+    parallel_for(&pool, 8, [](std::size_t) { GRIDSEC_TRACE_SPAN("t.worker"); });
   }
   Tracer::stop();
   // Buffers must survive pool destruction.

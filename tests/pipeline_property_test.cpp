@@ -11,9 +11,10 @@
 //   * everything is deterministic per seed;
 //   * the impact matrix does not depend on whether simplex warm starts
 //     are on (the warm and cold solve paths agree);
-//   * metamorphic relations: a zero-budget adversary gains nothing, and
+//   * metamorphic relations: a zero-budget adversary gains nothing,
 //     doubling every price and cost doubles the impacts and the SA gain
-//     while leaving the attack and defense sets unchanged.
+//     while leaving the attack and defense sets unchanged, and a sigma = 0
+//     view's matrix equals the truth matrix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -186,6 +187,23 @@ double largest_entry(const cps::ImpactMatrix& im) {
   return scale;
 }
 
+/// Every IM[a,t] and system_impact(t) of `got` equals `want`'s to 1e-10
+/// of `want`'s largest entry.
+void expect_matrices_close(const cps::ImpactMatrix& got,
+                           const cps::ImpactMatrix& want) {
+  ASSERT_EQ(got.num_actors(), want.num_actors());
+  ASSERT_EQ(got.num_targets(), want.num_targets());
+  const double tol = 1e-10 * largest_entry(want);
+  for (int t = 0; t < want.num_targets(); ++t) {
+    EXPECT_LE(std::abs(got.system_impact(t) - want.system_impact(t)), tol)
+        << "system impact, target " << t;
+    for (int a = 0; a < want.num_actors(); ++a) {
+      EXPECT_LE(std::abs(got.at(a, t) - want.at(a, t)), tol)
+          << "actor " << a << ", target " << t;
+    }
+  }
+}
+
 /// Every attack costs 1 and the budget is 0: the SA can afford nothing.
 void expect_zero_budget_gains_nothing(const cps::ImpactMatrix& im) {
   core::AdversaryConfig cfg;
@@ -270,6 +288,30 @@ void expect_doubling_costs_doubles_impact(const flow::Network& net,
   EXPECT_EQ(p2.collaborative.defended, p.collaborative.defended);
 }
 
+/// A sigma = 0 view draws no random numbers, and its matrix equals the
+/// truth matrix `truth` even when solved warm from a noisy sibling view's
+/// basis, as a game's warm chain does. play_defense_game relies on this to
+/// compute one truth matrix for every noiseless view.
+void expect_noiseless_view_matches_truth(const flow::Network& net,
+                                         const cps::Ownership& own,
+                                         const cps::ImpactMatrix& truth,
+                                         Rng& rng) {
+  cps::NoiseSpec noisy;
+  noisy.sigma = 0.2;
+  const auto sibling =
+      cps::compute_impact_matrix(cps::perturb_knowledge(net, noisy, rng), own);
+  ASSERT_TRUE(sibling.is_ok());
+  Rng untouched = rng;
+  const flow::Network view =
+      cps::perturb_knowledge(net, cps::NoiseSpec{}, rng);
+  EXPECT_EQ(rng.next(), untouched.next());
+  cps::ImpactOptions warm;
+  warm.warm_start = sibling->base_basis;
+  const auto viewed = cps::compute_impact_matrix(view, own, warm);
+  ASSERT_TRUE(viewed.is_ok());
+  expect_matrices_close(viewed->matrix, truth);
+}
+
 TEST_P(PipelineProperty, ZeroBudgetAdversaryGainsNothing) {
   auto p = make_pipeline(static_cast<std::uint64_t>(GetParam()) * 47 + 8, 3);
   expect_zero_budget_gains_nothing(p.impact.matrix);
@@ -278,6 +320,13 @@ TEST_P(PipelineProperty, ZeroBudgetAdversaryGainsNothing) {
 TEST_P(PipelineProperty, DoublingCostsDoublesImpactKeepsPlans) {
   auto p = make_pipeline(static_cast<std::uint64_t>(GetParam()) * 53 + 9, 3);
   expect_doubling_costs_doubles_impact(p.net, p.own);
+}
+
+TEST_P(PipelineProperty, NoiselessViewMatchesTruth) {
+  const auto seed = static_cast<std::uint64_t>(GetParam()) * 59 + 10;
+  auto p = make_pipeline(seed, 3);
+  Rng rng(seed);
+  expect_noiseless_view_matches_truth(p.net, p.own, p.impact.matrix, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty, ::testing::Range(0, 12));
@@ -303,6 +352,20 @@ TEST(Metamorphic, WesternUsDoublingCostsDoublesImpactKeepsPlans) {
         cps::Ownership::random(model.network.num_edges(), actors, rng);
     SCOPED_TRACE(std::to_string(actors) + " actors");
     expect_doubling_costs_doubles_impact(model.network, own);
+  }
+}
+
+TEST(Metamorphic, WesternUsNoiselessViewMatchesTruth) {
+  const sim::WesternUsModel model = sim::build_western_us();
+  Rng rng(2015);
+  for (int actors = 2; actors <= 6; ++actors) {
+    const auto own =
+        cps::Ownership::random(model.network.num_edges(), actors, rng);
+    const auto truth = cps::compute_impact_matrix(model.network, own);
+    ASSERT_TRUE(truth.is_ok());
+    SCOPED_TRACE(std::to_string(actors) + " actors");
+    expect_noiseless_view_matches_truth(model.network, own, truth->matrix,
+                                        rng);
   }
 }
 
@@ -346,19 +409,7 @@ void expect_path_independent(const flow::Network& net,
   const PathRun cold = impact_with_warm_start(net, own, false);
   *warm_pivots += warm.pivots;
   *cold_pivots += cold.pivots;
-  const cps::ImpactMatrix& w = warm.matrix;
-  const cps::ImpactMatrix& c = cold.matrix;
-  ASSERT_EQ(w.num_actors(), c.num_actors());
-  ASSERT_EQ(w.num_targets(), c.num_targets());
-  const double tol = 1e-10 * largest_entry(w);
-  for (int t = 0; t < w.num_targets(); ++t) {
-    EXPECT_LE(std::abs(w.system_impact(t) - c.system_impact(t)), tol)
-        << "system impact, target " << t;
-    for (int a = 0; a < w.num_actors(); ++a) {
-      EXPECT_LE(std::abs(w.at(a, t) - c.at(a, t)), tol)
-          << "actor " << a << ", target " << t;
-    }
-  }
+  expect_matrices_close(cold.matrix, warm.matrix);
 }
 
 TEST(WarmColdPathIndependence, WesternUsRandomOwnership) {
